@@ -8,7 +8,7 @@
 //   - window:   elastic window size (2/3/4) vs throughput and cuts;
 //   - baseline: parse-only comparison against the fine-grained and
 //     lock-free baselines (no size operations);
-//   - cachestripes: striped-LRU stripe count (1/2/4/8/16) vs throughput
+//   - cachestripes: striped CLOCK cache stripe count (1/2/4/8/16) vs throughput
 //     and abort rate at the configured thread count — the cache
 //     sharding design choice in isolation.
 //
@@ -260,7 +260,7 @@ func baselineSweep(wl bench.Workload, rec *bench.JSONRun) error {
 	return nil
 }
 
-// cacheStripesSweep isolates the cache sharding choice: the striped LRU
+// cacheStripesSweep isolates the cache sharding choice: the striped cache
 // at 1..16 stripes, fixed thread count, get-heavy mix. The shared sweep
 // prints the table and records one series per stripe count.
 func cacheStripesSweep(wl bench.Workload, rec *bench.JSONRun) error {

@@ -7,7 +7,7 @@
 // soak gate. The lrucache workload additionally runs the striped cache's
 // exported structural validator (cache.Check) after the storm, so a run
 // that survives the history checks but leaves a corrupt stripe — a
-// broken recency list, a mis-routed key, a size cell off by one — still
+// broken CLOCK ring, a mis-routed key, a size cell off by one — still
 // fails.
 //
 // Usage:

@@ -1,43 +1,45 @@
 // Package cache implements a transactional LRU cache over the polymorphic
-// runtime — a bounded int-keyed map with least-recently-used eviction
+// runtime — a bounded int-keyed map with CLOCK (second-chance) eviction
 // whose every operation is plain sequential code inside a transaction,
 // composable with any other transactional state.
 //
-// The structure is a STRIPED LRU: the capacity is split across N stripes
-// (a power of two, default min(GOMAXPROCS*2, 16)), each owning its own
-// hash-bucket directory, its own recency list (head/tail/size typed
-// cells) and its own escrow statistics legs. Keys are routed to a stripe
-// by a Fibonacci multiplicative hash, so promotions and evictions on
-// different stripes never share a written cell — concurrent commits on
-// unrelated keys cannot conflict on a global list head or tail, which is
-// what made the unsharded cache the tree's worst many-core scaling story.
+// The structure is STRIPED: the capacity is split across N stripes (a
+// power of two; by default one stripe per 2048 slots, between 1 and 16,
+// so the layout depends on the capacity alone and never on the host),
+// each owning its own hash-bucket directory, its own CLOCK ring and its
+// own escrow statistics legs. Keys are routed to a stripe by a Fibonacci
+// multiplicative hash, so hits, inserts and evictions on different
+// stripes never share a written cell.
 //
-// On top of striping, hits are READ-MOSTLY via a CLOCK-style second
-// chance: every entry carries a word-shaped `touched` cell. A hit does
-// not relink the entry to the MRU position; it sets the entry's private
-// bit (and only when the bit is still clear, so a steady-state hot hit
-// writes nothing at all). Eviction sweeps from the stripe's LRU end,
-// demoting touched entries — clear the bit, rotate to MRU — before
-// victimizing the first untouched one. The recency order is therefore
+// Each stripe's recency state is a CLOCK ring: a fixed array of slot
+// cells, a hand cell and a size cell. Every entry carries a word-shaped
+// `touched` reference bit. A hit sets the bit, and only when it is still
+// clear, so a steady-state hot hit writes nothing at all. While the
+// stripe fills, a new key gets a fresh entry in the next free slot; once
+// it is full, an insert sweeps from the hand, clearing touched bits and
+// moving past those entries, unlinks the first untouched entry from its
+// bucket chain and rewrites that same entry in place for the new key.
+// An evicting put therefore allocates nothing, and a stripe never holds
+// more than its capacity share of entries: evicted bindings do not
+// linger on the heap behind the runtime's retained versions. The ring is
 // the classic CLOCK approximation of LRU, maintained per stripe: there
-// is no total LRU order across stripes, and within a stripe an entry's
-// age is corrected lazily, at eviction time. That approximation is the
-// price of a hit path that writes at most one private bit instead of
-// three shared link cells.
+// is no total LRU order across stripes, and an entry's age is corrected
+// lazily, at eviction time.
 //
-// Every mutable link is a typed cell, so lookups, touches and evictions
-// are ordinary transactional loads and stores: a Get, a Put that evicts,
-// and the caller's own reads and writes all commit or abort as one unit.
-// Hit/miss/eviction/demotion statistics go through boost.EscrowCounter
-// (the escrow relaxation): counter bumps commute, so concurrent
-// operations never conflict on the stats, yet aborted attempts leave no
-// trace — eviction accounting composed with the escrow method, exactly
-// the pairing the paper's section 4.1 contrasts with semantics labels.
+// Because entries are reused, an entry's key is a cell like everything
+// else: a snapshot reader walking an old version of a bucket chain reads
+// the key that entry held at that version, never the key it holds now.
+// Lookups, touches and evictions are ordinary transactional loads and
+// stores, so a Get, a Put that evicts and the caller's own reads and
+// writes all commit or abort as one unit. Hit/miss/eviction/demotion
+// statistics go through boost.EscrowCounter (the escrow relaxation):
+// counter bumps commute, so concurrent operations never conflict on the
+// stats, yet aborted attempts leave no trace — eviction accounting
+// composed with the escrow method, exactly the pairing the paper's
+// section 4.1 contrasts with semantics labels.
 package cache
 
 import (
-	"runtime"
-
 	"repro/internal/boost"
 	"repro/internal/core"
 )
@@ -48,40 +50,50 @@ import (
 // decorrelated.
 const fibMult = 0x9e3779b97f4a7c15
 
-// entry is one cached binding. The key is immutable; the value and every
-// link are typed cells (pointer-shaped payloads: no boxing, and version
-// records recycle), so a warm touch or eviction allocates nothing beyond
-// what it inserts. touched is the CLOCK reference bit: word-shaped, one
-// cell per entry, written blind by the first hit after insertion or
-// demotion and cleared only by the eviction sweep.
+const (
+	// slotsPerStripe is the capacity per stripe the default stripe count
+	// aims at.
+	slotsPerStripe = 2048
+	// maxDefaultStripes caps the default stripe count.
+	maxDefaultStripes = 16
+)
+
+// entry is one cached binding, owned by one ring slot for the life of
+// the cache and rewritten in place when its binding is evicted. Every
+// field is a typed cell (word- or pointer-shaped payloads: no boxing,
+// and version records recycle), so a touch or an eviction allocates
+// nothing. The cells are embedded by value: an entry is one allocation,
+// and the key check of a chain walk reaches the key cell without
+// chasing a pointer. touched is the CLOCK reference bit: set by the
+// first hit after insertion or demotion, cleared only by the eviction
+// sweep.
 type entry[V any] struct {
-	key     int
-	val     *core.TypedCell[V]
-	prev    *core.TypedCell[*entry[V]] // toward the MRU end
-	next    *core.TypedCell[*entry[V]] // toward the LRU end
-	hnext   *core.TypedCell[*entry[V]] // hash-bucket chain
-	touched *core.TypedCell[bool]      // second-chance reference bit
+	key     core.TypedCell[int]
+	val     core.TypedCell[V]
+	hnext   core.TypedCell[*entry[V]] // hash-bucket chain
+	touched core.TypedCell[bool]      // second-chance reference bit
 }
 
 // stripe is one independent slice of the cache: its own directory, its
-// own recency list and its own statistics legs. No cell is shared
-// between stripes, so transactions confined to different stripes are
+// own CLOCK ring and its own statistics legs. No cell is shared between
+// stripes, so transactions confined to different stripes are
 // disjoint-access parallel.
 type stripe[V any] struct {
-	capacity int
-	mask     uint64
-	buckets  []*core.TypedCell[*entry[V]]
-	head     *core.TypedCell[*entry[V]] // most recently used
-	tail     *core.TypedCell[*entry[V]] // least recently used; sweep origin
-	size     *core.TypedCell[int]
+	mask    uint64
+	buckets []*core.TypedCell[*entry[V]]
+	// slots is the CLOCK ring, one slot per unit of the stripe's capacity
+	// share. slots[:size] hold entries, filled in order; the rest are nil.
+	slots []*core.TypedCell[*entry[V]]
+	hand  *core.TypedCell[int] // sweep origin: the oldest entry once full
+	size  *core.TypedCell[int]
 
 	hits      *boost.EscrowCounter
 	misses    *boost.EscrowCounter
 	evictions *boost.EscrowCounter
-	demotions *boost.EscrowCounter // second-chance rotations at eviction time
+	demotions *boost.EscrowCounter // touched entries spared by a sweep
 }
 
-// Cache is a transactional striped LRU cache mapping int keys to V
+// Cache is a transactional striped CLOCK cache mapping int keys to V
 // values. Create one with New (default stripe count) or NewWith, and use
 // it inside transactions of the same TM (the Tx-suffixed methods), or
 // through the one-shot wrappers.
@@ -90,24 +102,15 @@ type Cache[V any] struct {
 	capacity int
 	stripes  []*stripe[V]
 	sshift   uint // 64 - log2(len(stripes)); x >> sshift routes to a stripe
-	relink   bool // strict-LRU baseline: hits relink to MRU instead of touching
 }
 
 // Options configures NewWith.
 type Options struct {
 	// Stripes is the number of independent stripes; it is rounded up to a
 	// power of two and capped so every stripe owns at least one slot.
-	// Zero selects the default min(GOMAXPROCS*2, 16).
+	// Zero selects the default: one stripe per 2048 slots of capacity,
+	// between 1 and 16.
 	Stripes int
-	// RelinkOnHit restores the strict per-stripe LRU discipline this
-	// package had before the second-chance rework: every hit unlinks the
-	// entry and relinks it at the MRU position, writing the stripe's
-	// shared head cell (and up to three link cells) on the hit path. It
-	// exists as the measured baseline for the cache benchmarks — the
-	// configuration that shows what the reference-bit hit path buys —
-	// and for callers who genuinely need exact per-stripe LRU order and
-	// accept hit-path commit conflicts to get it.
-	RelinkOnHit bool
 }
 
 // New builds an empty cache bounded to capacity entries (minimum 1) with
@@ -120,16 +123,14 @@ func New[V any](tm *core.TM, capacity int) *Cache[V] {
 // across the configured number of stripes. The capacity is split across
 // stripes (earlier stripes absorb the remainder); each stripe's
 // directory is sized to keep bucket chains short at full capacity.
+// Entries are built as their slots first fill, not here.
 func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	ns := opts.Stripes
 	if ns <= 0 {
-		ns = runtime.GOMAXPROCS(0) * 2
-		if ns > 16 {
-			ns = 16
-		}
+		ns = min(max(capacity/slotsPerStripe, 1), maxDefaultStripes)
 	}
 	ns = ceilPow2(ns)
 	for ns > capacity {
@@ -140,7 +141,6 @@ func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 		capacity: capacity,
 		stripes:  make([]*stripe[V], ns),
 		sshift:   64 - log2(uint(ns)),
-		relink:   opts.RelinkOnHit,
 	}
 	base, rem := capacity/ns, capacity%ns
 	for i := range c.stripes {
@@ -150,11 +150,10 @@ func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 		}
 		nb := ceilPow2(sc)
 		s := &stripe[V]{
-			capacity:  sc,
 			mask:      uint64(nb - 1),
 			buckets:   make([]*core.TypedCell[*entry[V]], nb),
-			head:      core.NewTypedCell[*entry[V]](tm, nil),
-			tail:      core.NewTypedCell[*entry[V]](tm, nil),
+			slots:     make([]*core.TypedCell[*entry[V]], sc),
+			hand:      core.NewTypedCell(tm, 0),
 			size:      core.NewTypedCell(tm, 0),
 			hits:      boost.NewEscrowCounter(0),
 			misses:    boost.NewEscrowCounter(0),
@@ -163,6 +162,9 @@ func NewWith[V any](tm *core.TM, capacity int, opts Options) *Cache[V] {
 		}
 		for b := range s.buckets {
 			s.buckets[b] = core.NewTypedCell[*entry[V]](tm, nil)
+		}
+		for j := range s.slots {
+			s.slots[j] = core.NewTypedCell[*entry[V]](tm, nil)
 		}
 		c.stripes[i] = s
 	}
@@ -208,7 +210,7 @@ func (c *Cache[V]) owns(tx *core.Tx) {
 // stripeFor routes key to its stripe: the top log2(N) bits of the
 // Fibonacci product, decorrelated from the in-stripe bucket bits.
 func (c *Cache[V]) stripeFor(key int) *stripe[V] {
-	return c.stripes[(uint64(key)*fibMult)>>c.sshift]
+	return c.stripes[c.stripeIndex(key)]
 }
 
 // stripeIndex is stripeFor returning the index (Detach's per-stripe
@@ -225,18 +227,18 @@ func (s *stripe[V]) bucket(key int) *core.TypedCell[*entry[V]] {
 // lookupTx walks the key's bucket chain.
 func (s *stripe[V]) lookupTx(tx *core.Tx, key int) *entry[V] {
 	for e := s.bucket(key).Load(tx); e != nil; e = e.hnext.Load(tx) {
-		if e.key == key {
+		if e.key.Load(tx) == key {
 			return e
 		}
 	}
 	return nil
 }
 
-// touchTx records a use for the second-chance sweep: set the entry's
-// reference bit if it is still clear. The hot case — bit already set —
-// writes nothing, so a steady-state hit is a read-only transaction; the
-// cold case writes one cell private to this entry, which commutes with
-// hits on every other entry (and conflicts only with a concurrent first
+// touchTx records a use for the CLOCK sweep: set the entry's reference
+// bit if it is still clear. The hot case — bit already set — writes
+// nothing, so a steady-state hit is a read-only transaction; the cold
+// case writes one cell private to this entry, which commutes with hits
+// on every other entry (and conflicts only with a concurrent first
 // toucher of the SAME entry, or with an eviction sweep passing it).
 func (s *stripe[V]) touchTx(tx *core.Tx, e *entry[V]) {
 	if !e.touched.Load(tx) {
@@ -244,48 +246,23 @@ func (s *stripe[V]) touchTx(tx *core.Tx, e *entry[V]) {
 	}
 }
 
-// useTx records a use under the configured recency discipline: the
-// second-chance bit by default, or — in the RelinkOnHit baseline — the
-// strict-LRU relink to the MRU position, which writes the stripe's
-// shared head cell on every non-head hit (the contention the default
-// path exists to avoid).
-func (c *Cache[V]) useTx(tx *core.Tx, s *stripe[V], e *entry[V]) {
-	if c.relink {
-		if s.head.Load(tx) != e {
-			s.unlinkTx(tx, e)
-			s.pushFrontTx(tx, e)
-		}
-		return
-	}
-	s.touchTx(tx, e)
-}
-
-// GetTx returns the cached value and records the use for the
-// second-chance eviction sweep (it does NOT relink the entry — recency
-// is corrected lazily, at eviction time). A hit on an untouched entry
-// writes that entry's private bit; a hit on an already-touched entry is
-// read-only. (Under the RelinkOnHit baseline the hit relinks to MRU
-// instead, writing the stripe's shared head cell.) Use PeekTx for a
-// probe that leaves recency state alone. Hit/miss stats accrue at
-// commit on the key's stripe.
+// GetTx returns the cached value and records the use for the CLOCK
+// sweep. A hit on an untouched entry writes that entry's private bit; a
+// hit on an already-touched entry is read-only. Use PeekTx for a probe
+// that leaves recency state alone. Hit/miss stats accrue at commit on
+// the key's stripe.
 func (c *Cache[V]) GetTx(tx *core.Tx, key int) (V, bool) {
-	c.owns(tx)
-	s := c.stripeFor(key)
-	e := s.lookupTx(tx, key)
-	if e == nil {
-		s.misses.AddTx(tx, 1)
-		var zero V
-		return zero, false
-	}
-	s.hits.AddTx(tx, 1)
-	c.useTx(tx, s, e)
-	return e.val.Load(tx), true
+	return c.probeTx(tx, key, true)
 }
 
 // PeekTx returns the cached value without recording a use: combined with
 // Snapshot semantics it probes a live cache with zero write-path
 // interference.
 func (c *Cache[V]) PeekTx(tx *core.Tx, key int) (V, bool) {
+	return c.probeTx(tx, key, false)
+}
+
+func (c *Cache[V]) probeTx(tx *core.Tx, key int, touch bool) (V, bool) {
 	c.owns(tx)
 	s := c.stripeFor(key)
 	e := s.lookupTx(tx, key)
@@ -295,38 +272,43 @@ func (c *Cache[V]) PeekTx(tx *core.Tx, key int) (V, bool) {
 		return zero, false
 	}
 	s.hits.AddTx(tx, 1)
+	if touch {
+		s.touchTx(tx, e)
+	}
 	return e.val.Load(tx), true
 }
 
-// PutTx binds key to val, evicting within the key's stripe when that
-// stripe is at its capacity share. A put to an existing key updates the
-// value in place and records a use; a new key is inserted at the
-// stripe's MRU end with its reference bit clear. It reports whether the
-// key was new.
+// PutTx binds key to val. A put to an existing key updates the value in
+// place and records a use. A new key fills the stripe's next free slot
+// with a fresh entry while the stripe has room; once it is full, the
+// CLOCK sweep picks a victim and the victim's entry is rewritten in
+// place for the new key. Either way the new binding starts with its
+// reference bit clear. It reports whether the key was new.
 func (c *Cache[V]) PutTx(tx *core.Tx, key int, val V) bool {
 	c.owns(tx)
 	s := c.stripeFor(key)
 	if e := s.lookupTx(tx, key); e != nil {
 		e.val.Store(tx, val)
-		c.useTx(tx, s, e)
+		s.touchTx(tx, e)
 		return false
 	}
-	if n := s.size.Load(tx); n >= s.capacity {
-		s.evictTx(tx)
-	} else {
-		s.size.Store(tx, n+1)
-	}
 	b := s.bucket(key)
-	e := &entry[V]{
-		key:     key,
-		val:     core.NewTypedCell(c.tm, val),
-		prev:    core.NewTypedCell[*entry[V]](c.tm, nil),
-		next:    core.NewTypedCell[*entry[V]](c.tm, nil),
-		hnext:   core.NewTypedCell(c.tm, b.Load(tx)),
-		touched: core.NewTypedCell(c.tm, false),
+	if n := s.size.Load(tx); n < len(s.slots) {
+		e := new(entry[V])
+		core.InitTypedCell(c.tm, &e.key, key)
+		core.InitTypedCell(c.tm, &e.val, val)
+		core.InitTypedCell(c.tm, &e.hnext, b.Load(tx))
+		core.InitTypedCell(c.tm, &e.touched, false)
+		s.slots[n].Store(tx, e)
+		s.size.Store(tx, n+1)
+		b.Store(tx, e)
+		return true
 	}
+	e := s.evictTx(tx) // untouched, so its reference bit is already clear
+	e.key.Store(tx, key)
+	e.val.Store(tx, val)
+	e.hnext.Store(tx, b.Load(tx))
 	b.Store(tx, e)
-	s.pushFrontTx(tx, e)
 	return true
 }
 
@@ -344,58 +326,29 @@ func (c *Cache[V]) LenTx(tx *core.Tx) int {
 	return n
 }
 
-// unlinkTx removes e from the stripe's recency list.
-func (s *stripe[V]) unlinkTx(tx *core.Tx, e *entry[V]) {
-	p, n := e.prev.Load(tx), e.next.Load(tx)
-	if p == nil {
-		s.head.Store(tx, n)
-	} else {
-		p.next.Store(tx, n)
-	}
-	if n == nil {
-		s.tail.Store(tx, p)
-	} else {
-		n.prev.Store(tx, p)
-	}
-}
-
-// pushFrontTx links e at the stripe's MRU end.
-func (s *stripe[V]) pushFrontTx(tx *core.Tx, e *entry[V]) {
-	h := s.head.Load(tx)
-	e.prev.Store(tx, nil)
-	e.next.Store(tx, h)
-	if h == nil {
-		s.tail.Store(tx, e)
-	} else {
-		h.prev.Store(tx, e)
-	}
-	s.head.Store(tx, e)
-}
-
-// evictTx runs the second-chance sweep from the stripe's LRU end:
-// touched entries are demoted — reference bit cleared, rotated to the
-// MRU end — until the first untouched entry, which is the victim. The
-// sweep is bounded: after size rotations every bit is clear and the
-// original tail (now untouched) is victimized, so it always terminates.
-// Eviction and demotion counts accrue at commit through the stripe's
-// escrow counters, so concurrent evictors never conflict on a statistic.
-func (s *stripe[V]) evictTx(tx *core.Tx) {
-	n := s.size.Load(tx)
-	for i := 0; ; i++ {
-		victim := s.tail.Load(tx)
-		if victim == nil {
-			return
+// evictTx runs the CLOCK sweep of a full stripe from the hand: touched
+// entries are demoted — reference bit cleared, hand moved past them —
+// until the first untouched entry, the victim, which is unlinked from
+// its bucket chain and returned with the hand left just past it. The
+// sweep always terminates: after one full turn every bit it passed is
+// clear. Eviction and demotion counts accrue at commit through the
+// stripe's escrow counters, so concurrent evictors never conflict on a
+// statistic.
+func (s *stripe[V]) evictTx(tx *core.Tx) *entry[V] {
+	h := s.hand.Load(tx)
+	for {
+		victim := s.slots[h].Load(tx)
+		if h++; h == len(s.slots) {
+			h = 0
 		}
-		if i < n && victim.touched.Load(tx) {
+		if victim.touched.Load(tx) {
 			victim.touched.Store(tx, false)
-			s.unlinkTx(tx, victim)
-			s.pushFrontTx(tx, victim)
 			s.demotions.AddTx(tx, 1)
 			continue
 		}
-		s.unlinkTx(tx, victim)
+		s.hand.Store(tx, h)
+		b := s.bucket(victim.key.Load(tx))
 		next := victim.hnext.Load(tx)
-		b := s.bucket(victim.key)
 		if head := b.Load(tx); head == victim {
 			b.Store(tx, next)
 		} else {
@@ -409,7 +362,7 @@ func (s *stripe[V]) evictTx(tx *core.Tx) {
 			}
 		}
 		s.evictions.AddTx(tx, 1)
-		return
+		return victim
 	}
 }
 
@@ -450,7 +403,7 @@ type StripeStats struct {
 func (c *Cache[V]) StripeStats(i int) StripeStats {
 	s := c.stripes[i]
 	return StripeStats{
-		Capacity:  s.capacity,
+		Capacity:  len(s.slots),
 		Hits:      s.hits.Value(),
 		Misses:    s.misses.Value(),
 		Evictions: s.evictions.Value(),

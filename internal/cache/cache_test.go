@@ -9,11 +9,12 @@ import (
 )
 
 // refClock is the plain sequential reference model of ONE stripe: a
-// CLOCK / second-chance list mirroring the transactional implementation
-// step for step — hits set a reference bit (no relink), puts to new keys
-// insert at the MRU end with the bit clear, and eviction sweeps from the
-// LRU end demoting touched entries before victimizing the first
-// untouched one.
+// CLOCK / second-chance list — hits set a reference bit (no relink),
+// puts to new keys insert at the MRU end with the bit clear, and
+// eviction sweeps from the LRU end, rotating touched entries to the MRU
+// end with their bit cleared, before victimizing the first untouched
+// one. The implementation's ring must hold the same entries in the same
+// order, read backward from its hand.
 type refClock struct {
 	cap     int
 	order   []int // MRU first
@@ -54,15 +55,12 @@ func (r *refClock) put(key, val int) bool {
 	return true
 }
 
-// evict mirrors stripe.evictTx exactly, including the i<n sweep bound.
+// evict is the list form of the CLOCK sweep; it terminates because a
+// full rotation clears every bit.
 func (r *refClock) evict() {
-	n := len(r.order)
-	for i := 0; ; i++ {
-		if len(r.order) == 0 {
-			return
-		}
+	for {
 		victim := r.order[len(r.order)-1]
-		if i < n && r.touched[victim] {
+		if r.touched[victim] {
 			r.touched[victim] = false
 			r.rotateToFront(len(r.order) - 1)
 			continue
@@ -101,6 +99,17 @@ func (r *refStriped) len() int {
 		n += len(s.order)
 	}
 	return n
+}
+
+// ringOrder returns stripe s's entries MRU first: backward from the
+// hand, which sits just past the newest entry (and at 0 while filling).
+func ringOrder[V any](tx *core.Tx, s *stripe[V]) []*entry[V] {
+	n, h := s.size.Load(tx), s.hand.Load(tx)
+	out := make([]*entry[V], 0, n)
+	for i := 1; i <= n; i++ {
+		out = append(out, s.slots[(h-i+n)%n].Load(tx))
+	}
+	return out
 }
 
 // driveAgainstReference runs a seeded single-threaded op stream through
@@ -157,22 +166,23 @@ func driveAgainstReference(t *testing.T, c *Cache[int], ops int, seed int64) {
 		// match the model exactly.
 		for si, s := range c.stripes {
 			rs := ref.stripes[si]
-			i := 0
-			for e := s.head.Load(tx); e != nil; e = e.next.Load(tx) {
-				if i >= len(rs.order) || e.key != rs.order[i] {
-					t.Errorf("stripe %d recency position %d holds key %d, reference %v", si, i, e.key, rs.order)
+			order := ringOrder(tx, s)
+			if len(order) != len(rs.order) {
+				t.Errorf("stripe %d ring holds %d entries, reference %d", si, len(order), len(rs.order))
+				continue
+			}
+			for i, e := range order {
+				key := e.key.Load(tx)
+				if key != rs.order[i] {
+					t.Errorf("stripe %d recency position %d holds key %d, reference %v", si, i, key, rs.order)
 					break
 				}
-				if got := e.touched.Load(tx); got != rs.touched[e.key] {
-					t.Errorf("stripe %d key %d touched=%v, reference %v", si, e.key, got, rs.touched[e.key])
+				if got := e.touched.Load(tx); got != rs.touched[key] {
+					t.Errorf("stripe %d key %d touched=%v, reference %v", si, key, got, rs.touched[key])
 				}
-				if v := e.val.Load(tx); v != rs.vals[e.key] {
-					t.Errorf("stripe %d key %d value %d, reference %d", si, e.key, v, rs.vals[e.key])
+				if v := e.val.Load(tx); v != rs.vals[key] {
+					t.Errorf("stripe %d key %d value %d, reference %d", si, key, v, rs.vals[key])
 				}
-				i++
-			}
-			if i != len(rs.order) {
-				t.Errorf("stripe %d lists %d entries, reference %d", si, i, len(rs.order))
 			}
 		}
 		return nil
@@ -209,17 +219,18 @@ func TestStripedCacheMatchesReferenceModel(t *testing.T) {
 }
 
 // TestCacheSecondChanceEvictsUntouched pins the sweep order on a
-// deterministic scenario: a touched tail entry is demoted (spared,
-// rotated to MRU) and the first untouched entry behind it is the victim.
+// deterministic scenario: the touched entry under the hand is demoted
+// (spared, bit cleared, hand moved past it) and the first untouched
+// entry after it is the victim.
 func TestCacheSecondChanceEvictsUntouched(t *testing.T) {
 	tm := core.New()
 	c := NewWith[int](tm, 3, Options{Stripes: 1})
-	for _, k := range []int{1, 2, 3} { // recency now 3,2,1 (MRU first)
+	for _, k := range []int{1, 2, 3} { // slots 1,2,3; hand on 1
 		if _, err := c.Put(k, 10*k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c.Get(1); err != nil { // touch the tail entry
+	if _, _, err := c.Get(1); err != nil { // touch the oldest entry
 		t.Fatal(err)
 	}
 	if _, err := c.Put(4, 40); err != nil { // sweep: demote 1, evict 2
@@ -236,48 +247,6 @@ func TestCacheSecondChanceEvictsUntouched(t *testing.T) {
 	}
 	if err := c.Check(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCacheRelinkBaselineIsStrictLRU pins the RelinkOnHit comparator:
-// hits relink to MRU, so recency is the textbook total order and
-// eviction takes the exact LRU victim (no reference bits involved).
-func TestCacheRelinkBaselineIsStrictLRU(t *testing.T) {
-	tm := core.New()
-	c := NewWith[int](tm, 3, Options{Stripes: 1, RelinkOnHit: true})
-	for _, k := range []int{1, 2, 3} { // recency 3,2,1
-		if _, err := c.Put(k, 10*k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := c.Get(1); err != nil { // relink: recency 1,3,2
-		t.Fatal(err)
-	}
-	if _, err := c.Put(4, 40); err != nil { // strict LRU evicts 2
-		t.Fatal(err)
-	}
-	want := []int{4, 1, 3}
-	if err := tm.Atomically(core.Classic, func(tx *core.Tx) error {
-		if err := c.CheckTx(tx); err != nil {
-			return err
-		}
-		i := 0
-		for e := c.stripes[0].head.Load(tx); e != nil; e = e.next.Load(tx) {
-			if i >= len(want) || e.key != want[i] {
-				t.Errorf("relink recency position %d holds key %d, want %v", i, e.key, want)
-				break
-			}
-			i++
-		}
-		if i != len(want) {
-			t.Errorf("relink list has %d entries, want %d", i, len(want))
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Demotions() != 0 {
-		t.Fatalf("relink baseline recorded %d demotions, want 0", c.Demotions())
 	}
 }
 
@@ -337,8 +306,21 @@ func TestNewWithNormalizesStripes(t *testing.T) {
 			t.Errorf("cap=%d stripes=%d: shares sum to %d", tc.capacity, tc.stripes, shares)
 		}
 	}
-	if def := New[int](tm, 1024); def.Stripes() < 1 || def.Stripes()&(def.Stripes()-1) != 0 {
-		t.Errorf("default stripes %d not a power of two", def.Stripes())
+	// The default derives from capacity alone: one stripe per 2048 slots,
+	// clamped to [1, 16], rounded up to a power of two.
+	for _, tc := range []struct{ capacity, want int }{
+		{1, 1},
+		{64, 1},
+		{4095, 1},
+		{4096, 2},
+		{6144, 4},
+		{8192, 4},
+		{16384, 8},
+		{1 << 16, 16},
+	} {
+		if got := New[int](tm, tc.capacity).Stripes(); got != tc.want {
+			t.Errorf("New(cap=%d).Stripes() = %d, want %d", tc.capacity, got, tc.want)
+		}
 	}
 }
 

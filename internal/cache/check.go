@@ -7,75 +7,62 @@ import (
 )
 
 // CheckTx verifies the cache's structural invariants inside tx, in two
-// layers. Per stripe: the recency list is consistent forward and
-// backward, every listed entry is reachable through its stripe's bucket
-// chains (and vice versa — the chains hold exactly the listed entries),
-// the entry count matches the stripe's size cell and respects its
-// capacity share. Globally: every entry lives in the stripe its key
-// routes to, keys are unique across the whole cache, and the directory
-// and the recency lists agree on the same entry set — the
-// directory↔lists identity that survives striping even though a total
-// LRU order does not. Used by the tests and the storm harness; Check is
-// the one-shot wrapper.
+// layers. Per stripe: the size cell is within the capacity share, the
+// ring's first size slots hold entries and the rest are empty, the hand
+// stays at 0 until the stripe is full, every ring entry is reachable
+// through its stripe's bucket chains, and the chains hold exactly the
+// ring's entries. Globally: every entry lives in the stripe its key
+// routes to, and keys are unique across the whole cache. Used by the
+// tests and the storm harness; Check is the one-shot wrapper.
 func (c *Cache[V]) CheckTx(tx *core.Tx) error {
 	c.owns(tx)
 	seen := make(map[int]*entry[V]) // global: keys unique across stripes
-	total := 0
 	for si, s := range c.stripes {
-		var last *entry[V]
-		n := 0
-		for e := s.head.Load(tx); e != nil; e = e.next.Load(tx) {
-			if _, dup := seen[e.key]; dup {
-				return fmt.Errorf("cache: key %d appears twice across the recency lists", e.key)
-			}
-			seen[e.key] = e
-			if c.stripeFor(e.key) != s {
-				return fmt.Errorf("cache: key %d listed in stripe %d but routes to stripe %d",
-					e.key, si, c.stripeIndex(e.key))
-			}
-			if got := e.prev.Load(tx); got != last {
-				return fmt.Errorf("cache: stripe %d entry %d has inconsistent prev link", si, e.key)
-			}
-			if s.lookupTx(tx, e.key) != e {
-				return fmt.Errorf("cache: stripe %d entry %d not reachable through its bucket", si, e.key)
-			}
-			last = e
-			n++
-			if n > s.capacity {
-				return fmt.Errorf("cache: stripe %d recency list exceeds its capacity share %d", si, s.capacity)
-			}
+		n, hand := s.size.Load(tx), s.hand.Load(tx)
+		if n < 0 || n > len(s.slots) {
+			return fmt.Errorf("cache: stripe %d size cell %d outside its capacity share %d", si, n, len(s.slots))
 		}
-		if got := s.tail.Load(tx); got != last {
-			return fmt.Errorf("cache: stripe %d tail does not terminate the recency list", si)
+		if hand < 0 || hand >= len(s.slots) || (n < len(s.slots) && hand != 0) {
+			return fmt.Errorf("cache: stripe %d hand at %d with %d of %d slots filled", si, hand, n, len(s.slots))
 		}
-		if sz := s.size.Load(tx); sz != n {
-			return fmt.Errorf("cache: stripe %d size cell %d, recency list has %d entries", si, sz, n)
+		for i, slot := range s.slots {
+			e := slot.Load(tx)
+			if i >= n {
+				if e != nil {
+					return fmt.Errorf("cache: stripe %d slot %d filled beyond size %d", si, i, n)
+				}
+				continue
+			}
+			if e == nil {
+				return fmt.Errorf("cache: stripe %d slot %d empty below size %d", si, i, n)
+			}
+			key := e.key.Load(tx)
+			if _, dup := seen[key]; dup {
+				return fmt.Errorf("cache: key %d appears twice across the rings", key)
+			}
+			seen[key] = e
+			if c.stripeFor(key) != s {
+				return fmt.Errorf("cache: key %d held in stripe %d but routes to stripe %d",
+					key, si, c.stripeIndex(key))
+			}
+			if s.lookupTx(tx, key) != e {
+				return fmt.Errorf("cache: stripe %d entry %d not reachable through its bucket", si, key)
+			}
 		}
 		chained := 0
 		for b := range s.buckets {
 			for e := s.buckets[b].Load(tx); e != nil; e = e.hnext.Load(tx) {
-				if seen[e.key] != e {
-					return fmt.Errorf("cache: stripe %d bucket entry %d not in its recency list", si, e.key)
+				if seen[e.key.Load(tx)] != e {
+					return fmt.Errorf("cache: stripe %d bucket entry %d not in its ring", si, e.key.Load(tx))
 				}
-				chained++
-				if chained > n {
-					return fmt.Errorf("cache: stripe %d bucket chains hold more entries than the recency list", si)
+				if chained++; chained > n {
+					return fmt.Errorf("cache: stripe %d bucket chains hold more entries than its ring", si)
 				}
 			}
 		}
 		if chained != n {
-			return fmt.Errorf("cache: stripe %d bucket chains hold %d entries, recency list %d", si, chained, n)
+			return fmt.Errorf("cache: stripe %d bucket chains hold %d entries, ring %d", si, chained, n)
 		}
-		total += n
-	}
-	// The global identity: the directory and the lists agree on one entry
-	// set of this size (each stripe already matched chain-for-list, and
-	// seen deduplicated across stripes).
-	if total != len(seen) {
-		return fmt.Errorf("cache: %d listed entries but %d distinct keys", total, len(seen))
-	}
-	if total > c.capacity {
-		return fmt.Errorf("cache: %d entries exceed total capacity %d", total, c.capacity)
 	}
 	return nil
 }

@@ -55,17 +55,18 @@ func (c *Cache[V]) Detach() (*DetachedCache[V], error) {
 	d := &DetachedCache[V]{c: c, p: p, stats: make([]detachedStripeStats, len(c.stripes))}
 	if core.PrivatizeGuardsEnabled {
 		// Guard walk (race builds only): arm the loud-error rails on every
-		// stripe's directory, recency links, size cell and entries.
+		// stripe's directory, ring, hand, size cell and entries.
 		for _, s := range c.stripes {
-			s.head.MarkDetached(p)
-			s.tail.MarkDetached(p)
+			s.hand.MarkDetached(p)
 			s.size.MarkDetached(p)
-			for i := range s.buckets {
-				s.buckets[i].MarkDetached(p)
-				for e := s.buckets[i].LoadDetached(p); e != nil; e = e.hnext.LoadDetached(p) {
+			for _, b := range s.buckets {
+				b.MarkDetached(p)
+			}
+			for _, slot := range s.slots {
+				slot.MarkDetached(p)
+				if e := slot.LoadDetached(p); e != nil {
+					e.key.MarkDetached(p)
 					e.val.MarkDetached(p)
-					e.prev.MarkDetached(p)
-					e.next.MarkDetached(p)
 					e.hnext.MarkDetached(p)
 					e.touched.MarkDetached(p)
 				}
@@ -87,7 +88,7 @@ func (d *DetachedCache[V]) Get(key int) (V, bool) {
 	i := d.c.stripeIndex(key)
 	s := d.c.stripes[i]
 	for e := s.bucket(key).LoadDetached(d.p); e != nil; e = e.hnext.LoadDetached(d.p) {
-		if e.key == key {
+		if e.key.LoadDetached(d.p) == key {
 			d.stats[i].hits.Add(1)
 			return e.val.LoadDetached(d.p), true
 		}

@@ -78,8 +78,8 @@ func TestCacheDetachStriped(t *testing.T) {
 	expected := map[int]int{}
 	if err := tm.Atomically(core.Snapshot, func(tx *core.Tx) error {
 		for _, s := range c.stripes {
-			for e := s.head.Load(tx); e != nil; e = e.next.Load(tx) {
-				expected[e.key] = e.val.Load(tx)
+			for _, e := range ringOrder(tx, s) {
+				expected[e.key.Load(tx)] = e.val.Load(tx)
 			}
 		}
 		return nil

@@ -35,9 +35,17 @@ type TypedCell[T any] struct {
 // initial. The cell starts at version 0, readable by every transaction.
 func NewTypedCell[T any](tm *TM, initial T) *TypedCell[T] {
 	c := &TypedCell[T]{}
+	InitTypedCell(tm, c, initial)
+	return c
+}
+
+// InitTypedCell initializes the zero cell *c in place, holding initial,
+// for cells embedded by value in a larger structure: one allocation for
+// the structure and its cells, and no pointer to chase from one to the
+// other. The cell must not be used before, nor copied after, the call.
+func InitTypedCell[T any](tm *TM, c *TypedCell[T], initial T) {
 	s := shapeFor[T]()
 	tm.initCell(&c.h, s, encodeVal(s, initial))
-	return c
 }
 
 // ID returns the cell's unique identity within its TM. It is stable for

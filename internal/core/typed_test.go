@@ -110,6 +110,32 @@ func TestTypedZeroValues(t *testing.T) {
 	})
 }
 
+// TestInitTypedCellEmbedded: cells initialized in place inside one
+// struct get distinct identities and behave like NewTypedCell's.
+func TestInitTypedCellEmbedded(t *testing.T) {
+	tm := New()
+	var pair struct {
+		n TypedCell[int]
+		p TypedCell[*int]
+	}
+	x := 7
+	InitTypedCell(tm, &pair.n, 3)
+	InitTypedCell(tm, &pair.p, &x)
+	if pair.n.ID() == pair.p.ID() {
+		t.Fatalf("embedded cells share ID %d", pair.n.ID())
+	}
+	mustAtomically(t, tm, Classic, func(tx *Tx) error {
+		pair.n.Store(tx, pair.n.Load(tx)+*pair.p.Load(tx))
+		return nil
+	})
+	mustAtomically(t, tm, Classic, func(tx *Tx) error {
+		if v := pair.n.Load(tx); v != 10 {
+			t.Errorf("embedded cell = %d, want 10", v)
+		}
+		return nil
+	})
+}
+
 func TestLoadTStoreTFreeFunctions(t *testing.T) {
 	tm := New()
 	c := NewTypedCell(tm, 10)

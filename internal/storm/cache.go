@@ -10,17 +10,17 @@ import (
 	"repro/internal/history"
 )
 
-// cacheWorkload storms the STRIPED transactional LRU cache: gets (which
+// cacheWorkload storms the STRIPED transactional CLOCK cache: gets (which
 // set an entry's second-chance bit on first touch, and are read-only
 // once it is set), read-only peeks under classic and snapshot semantics,
 // puts (which insert and evict within the key's stripe), and length
 // probes folding all stripes, over a key range twice the capacity so
 // eviction runs continuously in every stripe.
 //
-// The workload pins the stripe count at 4 (not the GOMAXPROCS-dependent
-// default) so a storm's shape — which keys share a stripe, where
-// eviction pressure lands — is a pure function of the config, and the
-// shrinker's replay rebuilds the identical cache.
+// The workload pins the stripe count at 4 (the capacity-derived default
+// would give a storm-sized cache a single stripe) so every storm
+// exercises cross-stripe routing, and the shrinker's replay rebuilds the
+// identical cache.
 //
 // Checking is hit-rate + invariants, in three layers:
 //
@@ -42,14 +42,13 @@ import (
 //     another sits below its share, which is exactly the approximation
 //     the striped design buys.
 //  3. structural invariants: cache.Check() over the final state —
-//     per-stripe list consistency both directions, directory agreement,
-//     stripe routing and capacity shares, plus the global
-//     directory↔lists identity — and a capacity bound on every observed
-//     length.
+//     per-stripe ring consistency, directory↔ring agreement, stripe
+//     routing, capacity shares and globally unique keys — and a capacity
+//     bound on every observed length.
 //
 // Global and per-stripe hit rates go to the storm report's notes, and the
 // run fails as vacuous if the storm never hit, never missed, never
-// evicted or never demoted (a demotion is a second-chance rotation; zero
+// evicted or never demoted (a demotion is a sweep sparing a touched entry; zero
 // demotions would mean the CLOCK machinery went unexercised).
 type cacheWorkload struct {
 	tm    *core.TM
