@@ -76,7 +76,7 @@ func run(args []string) error {
 	if *soak {
 		// Every perf run doubles as a correctness run: the shared
 		// pre-sweep storm with full history verification.
-		reps, err := storm.Soak(core.ClockGV1)
+		reps, err := storm.Soak()
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func run(args []string) error {
 	runOnce := func(label string) error {
 		var rec *bench.JSONRun
 		if *jsonOut {
-			rec = bench.NewJSONRun("ablationbench", label, "gv1", wl)
+			rec = bench.NewJSONRun("ablationbench", label, wl)
 		}
 		for _, name := range strings.Split(*which, ",") {
 			switch strings.TrimSpace(name) {

@@ -8,7 +8,7 @@
 //
 //	collectionbench [-fig 5|7|9|all|none] [-size 4096] [-dur 250ms]
 //	                [-threads 1,2,4,8,16,32,64] [-update 10] [-sizepct 10]
-//	                [-scheme gv1|gvpass|gvsharded] [-extra] [-typed=true]
+//	                [-extra]
 //	                [-cache] [-cachestripes] [-cachekeys 0] [-persist]
 //	                [-readpath] [-shards]
 //	                [-procs 2,4,8] [-json] [-out BENCH_collection.json]
@@ -48,13 +48,8 @@
 // followed by a write-ahead-log group-commit sweep: durable commits/s
 // from 8 concurrent committers as the fsync batch cap grows 1 → 256.
 //
-// -typed=false swaps the transactional lists for their untyped boxing
-// comparators (nodes in `any`-payload cells), so one binary measures what
-// the typed-cell records buy on the update path.
-//
-// Every sweep is preceded by a short mixed-semantics storm (internal/storm)
-// under the same clock scheme, so each performance run doubles as a
-// correctness run: a sweep whose runtime violates opacity, the elastic cut
+// Every sweep is preceded by a short mixed-semantics storm (internal/storm),
+// so each performance run doubles as a correctness run: a sweep whose runtime violates opacity, the elastic cut
 // rule or snapshot consistency fails before a single number is printed.
 // -soak=false skips it. With -json the run's per-point throughput, abort
 // rates and configuration are appended to the -out trajectory file.
@@ -76,7 +71,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/persistmap"
 	"repro/internal/persistmap/walsync"
@@ -104,9 +98,7 @@ func run(args []string) error {
 		jsonOut  = fs.Bool("json", false, "append the run to the JSON trajectory file")
 		outPath  = fs.String("out", "BENCH_collection.json", "JSON trajectory file (with -json)")
 		runLabel = fs.String("label", "run", "label recorded for this run in the trajectory")
-		schemeFl = fs.String("scheme", "gv1", "clock scheme for the transactional implementations")
 		soak     = fs.Bool("soak", true, "run a correctness storm before the sweep")
-		typed    = fs.Bool("typed", true, "bench the typed-cell lists; false swaps in the untyped boxing comparators")
 		cacheFl  = fs.Bool("cache", false, "also sweep the transactional LRU cache (internal/cache)")
 		cacheStr = fs.Bool("cachestripes", false, "also sweep the cache stripe counts (1/2/4/8/16 stripes × threads)")
 		cacheKey = fs.Int("cachekeys", 0, "cache stripe sweep key range (0 = 7/8 of capacity, the pure-hit regime; above capacity = churn)")
@@ -122,11 +114,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	scheme, err := clock.ParseScheme(*schemeFl)
-	if err != nil {
-		return err
-	}
-	opts := []core.Option{core.WithClockScheme(scheme)}
 	wl := bench.Workload{
 		InitialSize: *size,
 		UpdatePct:   *update,
@@ -139,37 +126,26 @@ func run(args []string) error {
 	case "none":
 		// No figure sweep — e.g. a standalone -cache run.
 	case "5":
-		figures = []bench.Figure{bench.Figure5(wl, ths, opts...)}
+		figures = []bench.Figure{bench.Figure5(wl, ths)}
 	case "7":
-		figures = []bench.Figure{bench.Figure7(wl, ths, opts...)}
+		figures = []bench.Figure{bench.Figure7(wl, ths)}
 	case "9":
-		figures = []bench.Figure{bench.Figure9(wl, ths, opts...)}
+		figures = []bench.Figure{bench.Figure9(wl, ths)}
 	case "all":
 		figures = []bench.Figure{
-			bench.Figure5(wl, ths, opts...),
-			bench.Figure7(wl, ths, opts...),
-			bench.Figure9(wl, ths, opts...),
+			bench.Figure5(wl, ths),
+			bench.Figure7(wl, ths),
+			bench.Figure9(wl, ths),
 		}
 	default:
 		return fmt.Errorf("unknown figure %q (want 5, 7, 9, all or none)", *fig)
-	}
-	if !*typed {
-		// The boxing comparator: the same figures over lists whose nodes
-		// live in untyped cells, so one binary measures the typed-cell win.
-		for i := range figures {
-			boxed, err := bench.BoxedVariant(figures[i])
-			if err != nil {
-				return err
-			}
-			figures[i] = boxed
-		}
 	}
 	procs, err := parseProcs(*procsFl)
 	if err != nil {
 		return err
 	}
 	if *soak {
-		if err := runSoak(scheme); err != nil {
+		if err := runSoak(); err != nil {
 			return err
 		}
 	}
@@ -179,7 +155,7 @@ func run(args []string) error {
 	runOnce := func(label string) error {
 		var rec *bench.JSONRun
 		if *jsonOut {
-			rec = bench.NewJSONRun("collectionbench", label, scheme.String(), wl)
+			rec = bench.NewJSONRun("collectionbench", label, wl)
 		}
 		for i, f := range figures {
 			if i > 0 {
@@ -201,14 +177,14 @@ func run(args []string) error {
 				Name:    "parse-only",
 				Caption: "No size ops: fine-grained and lock-free baselines join the comparison",
 				Impls: []bench.Factory{
-					bench.SnapshotMixedFactory(opts...),
-					bench.ClassicSTMFactory(opts...),
+					bench.SnapshotMixedFactory(),
+					bench.ClassicSTMFactory(),
 					bench.HoHFactory(),
 					bench.LazyFactory(),
 					bench.HarrisFactory(),
 					bench.HashSetFactory("tx-hashset", 64, txstruct.ListConfig{
 						Parse: core.Elastic, Size: core.Snapshot,
-					}, opts...),
+					}),
 				},
 				Workload: parseOnly,
 				Threads:  ths,
@@ -223,7 +199,7 @@ func run(args []string) error {
 		}
 		if *cacheFl {
 			fmt.Println()
-			if err := runCacheSweep(rec, *size, ths, *dur, scheme); err != nil {
+			if err := runCacheSweep(rec, *size, ths, *dur); err != nil {
 				return err
 			}
 		}
@@ -235,29 +211,29 @@ func run(args []string) error {
 				KeyRange: *cacheKey,
 				Threads:  ths,
 				Duration: *dur,
-			}, core.WithClockScheme(scheme)); err != nil {
+			}); err != nil {
 				return err
 			}
 		}
 		if *persist {
 			fmt.Println()
-			if err := runPersistSweep(rec, *size, *dur, scheme); err != nil {
+			if err := runPersistSweep(rec, *size, *dur); err != nil {
 				return err
 			}
 			fmt.Println()
-			if err := runWALSweep(rec, *dur, scheme); err != nil {
+			if err := runWALSweep(rec, *dur); err != nil {
 				return err
 			}
 		}
 		if *readpath {
 			fmt.Println()
-			if err := bench.RunReadPathSweep(os.Stdout, rec, *size, ths, *dur, core.WithClockScheme(scheme)); err != nil {
+			if err := bench.RunReadPathSweep(os.Stdout, rec, *size, ths, *dur); err != nil {
 				return err
 			}
 		}
 		if *shardsFl {
 			fmt.Println()
-			if err := bench.RunShardSweep(os.Stdout, rec, *size, *update, *sizePct, ths, *dur, core.WithClockScheme(scheme)); err != nil {
+			if err := bench.RunShardSweep(os.Stdout, rec, *size, *update, *sizePct, ths, *dur); err != nil {
 				return err
 			}
 		}
@@ -309,7 +285,7 @@ func parseProcs(s string) ([]int, error) {
 // range twice the cache capacity, reporting throughput, abort rate and
 // hit rate per point. With -json the points land in the trajectory under
 // the "lru-cache" figure.
-func runCacheSweep(rec *bench.JSONRun, size int, threads []int, dur time.Duration, scheme clock.Scheme) error {
+func runCacheSweep(rec *bench.JSONRun, size int, threads []int, dur time.Duration) error {
 	capacity := size / 2
 	if capacity < 2 {
 		capacity = 2
@@ -324,7 +300,7 @@ func runCacheSweep(rec *bench.JSONRun, size int, threads []int, dur time.Duratio
 	// seq throughput is zero and the speedup fields stay empty.
 	series := bench.Series{Impl: fmt.Sprintf("tx-lru-cap%d", capacity)}
 	for _, th := range threads {
-		res, err := runCachePoint(capacity, keyRange, th, dur, scheme)
+		res, err := runCachePoint(capacity, keyRange, th, dur)
 		if err != nil {
 			return err
 		}
@@ -340,8 +316,8 @@ func runCacheSweep(rec *bench.JSONRun, size int, threads []int, dur time.Duratio
 	return nil
 }
 
-func runCachePoint(capacity, keyRange, threads int, dur time.Duration, scheme clock.Scheme) (bench.Result, error) {
-	tm := core.New(core.WithClockScheme(scheme))
+func runCachePoint(capacity, keyRange, threads int, dur time.Duration) (bench.Result, error) {
+	tm := core.New()
 	c := cache.New[int](tm, capacity)
 	// Warm to capacity so eviction runs from the start.
 	for k := 0; k < capacity; k++ {
@@ -391,7 +367,7 @@ func runCachePoint(capacity, keyRange, threads int, dur time.Duration, scheme cl
 // printed figures are pipeline operations per second at that map size.
 // With -json the points land under the "durable-persist" figure, one
 // one-point series per (operation, size).
-func runPersistSweep(rec *bench.JSONRun, size int, dur time.Duration, scheme clock.Scheme) error {
+func runPersistSweep(rec *bench.JSONRun, size int, dur time.Duration) error {
 	var sizes []int
 	for _, n := range []int{size / 4, size / 2, size} {
 		if n >= 16 && (len(sizes) == 0 || n != sizes[len(sizes)-1]) {
@@ -406,15 +382,15 @@ func runPersistSweep(rec *bench.JSONRun, size int, dur time.Duration, scheme clo
 	fmt.Printf("%8s %8s %12s %12s %12s %12s %12s\n",
 		"size", "churn", "backup/s", "diff/s", "write/s", "load/s", "restore/s")
 	for _, n := range sizes {
-		if err := runPersistPoint(rec, n, dur, scheme); err != nil {
+		if err := runPersistPoint(rec, n, dur); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runPersistPoint(rec *bench.JSONRun, n int, dur time.Duration, scheme clock.Scheme) error {
-	tm := core.New(core.WithClockScheme(scheme))
+func runPersistPoint(rec *bench.JSONRun, n int, dur time.Duration) error {
+	tm := core.New()
 	m := persistmap.New[int](tm)
 	for k := 0; k < n; k++ {
 		if _, err := m.Put(k, k); err != nil {
@@ -469,7 +445,7 @@ func runPersistPoint(rec *bench.JSONRun, n int, dur time.Duration, scheme clock.
 	if _, err := store.WriteDiff(d); err != nil {
 		return err
 	}
-	tm2 := core.New(core.WithClockScheme(scheme))
+	tm2 := core.New()
 	m2 := persistmap.New[int](tm2)
 
 	ops := []struct {
@@ -507,12 +483,12 @@ func runPersistPoint(rec *bench.JSONRun, n int, dur time.Duration, scheme clock.
 // pays a private fsync; as the cap grows, concurrent committers share one
 // — the classic group-commit amortization curve. With -json the points
 // land under the "wal-group-commit" figure, one one-point series per cap.
-func runWALSweep(rec *bench.JSONRun, dur time.Duration, scheme clock.Scheme) error {
+func runWALSweep(rec *bench.JSONRun, dur time.Duration) error {
 	const committers = 8
 	fmt.Printf("wal group-commit sweep: %d durable committers, commits/s vs fsync batch cap\n", committers)
 	fmt.Printf("%8s %14s %10s %10s %10s\n", "batch", "commits/s", "avgbatch", "maxbatch", "fsyncs")
 	for _, cap := range []int{1, 4, 16, 64, 256} {
-		res, stats, err := runWALPoint(cap, committers, dur, scheme)
+		res, stats, err := runWALPoint(cap, committers, dur)
 		if err != nil {
 			return err
 		}
@@ -529,13 +505,13 @@ func runWALSweep(rec *bench.JSONRun, dur time.Duration, scheme clock.Scheme) err
 	return nil
 }
 
-func runWALPoint(maxBatch, committers int, dur time.Duration, scheme clock.Scheme) (bench.Result, walsync.Stats, error) {
+func runWALPoint(maxBatch, committers int, dur time.Duration) (bench.Result, walsync.Stats, error) {
 	dir, err := os.MkdirTemp("", "walbench-")
 	if err != nil {
 		return bench.Result{}, walsync.Stats{}, err
 	}
 	defer os.RemoveAll(dir)
-	tm := core.New(core.WithClockScheme(scheme))
+	tm := core.New()
 	m := persistmap.New[int](tm)
 	store, err := persistmap.NewStore(dir, persistmap.IntCodec{})
 	if err != nil {
@@ -567,11 +543,10 @@ func runWALPoint(maxBatch, committers int, dur time.Duration, scheme clock.Schem
 	return res, stats, nil
 }
 
-// runSoak runs the shared pre-sweep correctness storm (storm.Soak) under
-// the clock scheme about to be measured.
-func runSoak(scheme clock.Scheme) error {
-	fmt.Printf("soak: storms over linkedlist+typedcells under %s … ", scheme)
-	reps, err := storm.Soak(scheme)
+// runSoak runs the shared pre-sweep correctness storm (storm.Soak).
+func runSoak() error {
+	fmt.Print("soak: storms over linkedlist+typedcells … ")
+	reps, err := storm.Soak()
 	if err != nil {
 		fmt.Println("FAILED")
 		return err

@@ -15,18 +15,15 @@
 //	stormcheck [-workload skiplist|linkedlist|hashset|treemap|queue|cells|typedcells|bank|lrucache|persist|all]
 //	           [-workers 4] [-ops 200] [-keys 32] [-seed 1]
 //	           [-mix 60,25,15] [-duration 0] [-chaos 10] [-window 2]
-//	           [-clock gv1|gvpass|gvsharded|all]
 //	           [-explore] [-crashpoints] [-shrink] [-selftest-corrupt] [-v]
 //
 // -mix weighs classic,elastic,snapshot. -duration overrides -ops with a
-// wall-clock bound. -clock selects the commit-versioning scheme under test
-// ('all' sweeps every scheme — storms and explorer alike — so relaxed
-// clocks are held to the same guarantees as the default). -explore
-// additionally runs the exhaustive tiny-interleaving suite. -crashpoints
-// runs the exhaustive crash-point exploration: a seeded durable-WAL +
-// checkpoint run is recorded op by op, then a power cut is simulated at
-// EVERY filesystem operation boundary (plus torn-write variants) and
-// recovery must restore an exact acked commit prefix. -shrink, on a
+// wall-clock bound. -explore additionally runs the exhaustive
+// tiny-interleaving suite. -crashpoints runs the exhaustive crash-point
+// exploration: a seeded durable-WAL + checkpoint run is recorded op by
+// op, then a power cut is simulated at EVERY filesystem operation
+// boundary (plus torn-write variants) and recovery must restore an exact
+// acked commit prefix. -shrink, on a
 // failing storm, bisects the per-worker op sequences to a minimal
 // still-failing schedule and prints it (plus its explorer-ready tiny
 // case). -selftest-corrupt records the storm through a
@@ -43,7 +40,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/storm"
@@ -69,7 +65,6 @@ func run(args []string, out io.Writer) error {
 		duration = fs.Duration("duration", 0, "run until this deadline instead of -ops")
 		chaos    = fs.Int("chaos", 10, "% of ops preceded by a seeded scheduler perturbation (0 disables)")
 		window   = fs.Int("window", 2, "elastic window size")
-		clockSch = fs.String("clock", "gv1", "clock scheme under test, or 'all'")
 		explore  = fs.Bool("explore", false, "also run the exhaustive tiny-interleaving suite")
 		crashpts = fs.Bool("crashpoints", false, "also run the exhaustive crash-point (power cut per fs op) exploration")
 		corrupt  = fs.Bool("selftest-corrupt", false, "record through a broken recorder; the run must fail")
@@ -83,85 +78,64 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var schemes []clock.Scheme
-	if *clockSch == "all" {
-		schemes = clock.Schemes()
-	} else {
-		s, err := clock.ParseScheme(*clockSch)
-		if err != nil {
-			return err
-		}
-		schemes = []clock.Scheme{s}
-	}
-
 	names := []string{*workload}
 	if *workload == "all" {
 		names = storm.Workloads()
 	}
 	var failures int
-	for _, scheme := range schemes {
-		if len(schemes) > 1 {
-			fmt.Fprintf(out, "--- clock scheme %s ---\n", scheme)
+	for _, name := range names {
+		cfg := storm.Config{
+			Workload: name,
+			Workers:  *workers,
+			Ops:      *ops,
+			Keys:     *keys,
+			Seed:     *seed,
+			Mix:      mix,
+			Duration: *duration,
+			Chaos:    *chaos,
+			Window:   *window,
 		}
-		for _, name := range names {
-			cfg := storm.Config{
-				Workload: name,
-				Workers:  *workers,
-				Ops:      *ops,
-				Keys:     *keys,
-				Seed:     *seed,
-				Mix:      mix,
-				Duration: *duration,
-				Chaos:    *chaos,
-				Window:   *window,
-				Clock:    scheme,
+		if *corrupt {
+			cfg.WrapRecorder = func(inner core.Recorder) core.Recorder {
+				return storm.NewVersionSkewRecorder(inner, 5)
 			}
-			if *corrupt {
-				cfg.WrapRecorder = func(inner core.Recorder) core.Recorder {
-					return storm.NewVersionSkewRecorder(inner, 5)
+		}
+		rep, err := storm.Run(cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, rep)
+		if rerr := rep.Err(); rerr != nil {
+			failures++
+			if *verbose && rep.Verdict != nil {
+				for _, e := range rep.Verdict.Errs {
+					fmt.Fprintln(out, "  ", e)
 				}
 			}
-			rep, err := storm.Run(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(out, rep)
-			if rerr := rep.Err(); rerr != nil {
-				failures++
-				if *verbose && rep.Verdict != nil {
-					for _, e := range rep.Verdict.Errs {
-						fmt.Fprintln(out, "  ", e)
-					}
-				}
-				if *shrink && !*corrupt {
-					res, serr := storm.Shrink(cfg, 3)
-					switch {
-					case serr != nil:
-						fmt.Fprintln(out, "  shrink:", serr)
-					case res == nil:
-						fmt.Fprintln(out, "  shrink: failure did not recur")
-					default:
-						fmt.Fprintln(out, " ", res)
-						fmt.Fprintln(out, "  shrunk failure:", res.Report.Err())
-					}
+			if *shrink && !*corrupt {
+				res, serr := storm.Shrink(cfg, 3)
+				switch {
+				case serr != nil:
+					fmt.Fprintln(out, "  shrink:", serr)
+				case res == nil:
+					fmt.Fprintln(out, "  shrink: failure did not recur")
+				default:
+					fmt.Fprintln(out, " ", res)
+					fmt.Fprintln(out, "  shrunk failure:", res.Report.Err())
 				}
 			}
 		}
 	}
 
 	if *explore {
-		for _, scheme := range schemes {
-			if err := runExplore(out, scheme); err != nil {
-				return err
-			}
+		if err := runExplore(out); err != nil {
+			return err
 		}
 	}
 
 	if *crashpts {
-		for _, scheme := range schemes {
-			if err := runCrashPoints(out, scheme, *seed); err != nil {
-				return err
-			}
+		if err := runCrashPoints(out, *seed); err != nil {
+			return err
 		}
 	}
 
@@ -178,7 +152,7 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func runExplore(out io.Writer, scheme clock.Scheme) error {
+func runExplore(out io.Writer) error {
 	var failed int
 	for _, tc := range sched.TinyCases() {
 		progs := make([]storm.TinyProgram, len(tc.Programs))
@@ -186,7 +160,7 @@ func runExplore(out io.Writer, scheme clock.Scheme) error {
 			progs[i] = storm.TinyProgram{Sem: core.Classic, Accesses: p}
 		}
 		start := time.Now()
-		rep, err := storm.ExploreTiny(tc.Name, progs, core.WithClockScheme(scheme))
+		rep, err := storm.ExploreTiny(tc.Name, progs)
 		if err != nil {
 			return err
 		}
@@ -195,20 +169,19 @@ func runExplore(out io.Writer, scheme clock.Scheme) error {
 			failed++
 			status = "FAILED: " + rerr.Error()
 		}
-		fmt.Fprintf(out, "explore %-12s [%s] %3d schedules, %3d commits, %2d aborts in %v — %s\n",
-			tc.Name, scheme, rep.Schedules, rep.Commits, rep.Aborts,
+		fmt.Fprintf(out, "explore %-12s %3d schedules, %3d commits, %2d aborts in %v — %s\n",
+			tc.Name, rep.Schedules, rep.Commits, rep.Aborts,
 			time.Since(start).Round(time.Millisecond), status)
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d tiny case(s) failed exhaustive exploration under %s", failed, scheme)
+		return fmt.Errorf("%d tiny case(s) failed exhaustive exploration", failed)
 	}
 	return nil
 }
 
-func runCrashPoints(out io.Writer, scheme clock.Scheme, seed uint64) error {
+func runCrashPoints(out io.Writer, seed uint64) error {
 	start := time.Now()
-	rep, err := storm.ExploreCrashPoints(scheme.String(), storm.CrashPointConfig{Seed: int64(seed)},
-		core.WithClockScheme(scheme))
+	rep, err := storm.ExploreCrashPoints("persist", storm.CrashPointConfig{Seed: int64(seed)})
 	if err != nil {
 		return err
 	}
@@ -217,8 +190,8 @@ func runCrashPoints(out io.Writer, scheme clock.Scheme, seed uint64) error {
 	if rerr != nil {
 		status = "FAILED: " + rerr.Error()
 	}
-	fmt.Fprintf(out, "crashpoints [%s] %d commits, %d boundaries, %d crash images in %v — %s\n",
-		scheme, rep.Commits, rep.Boundaries, rep.Images,
+	fmt.Fprintf(out, "crashpoints %d commits, %d boundaries, %d crash images in %v — %s\n",
+		rep.Commits, rep.Boundaries, rep.Images,
 		time.Since(start).Round(time.Millisecond), status)
 	return rerr
 }

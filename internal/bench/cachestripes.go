@@ -70,7 +70,7 @@ func (cfg *CacheStripesConfig) fill() {
 // cfg.KeyRange keys, one Series per stripe count with its Stripes field
 // set, so the trajectory records which curve is which. With w non-nil the table prints as it measures;
 // with rec non-nil the series land under the "lru-cache-stripes" figure.
-func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opts ...core.Option) ([]Series, error) {
+func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig) ([]Series, error) {
 	cfg.fill()
 	if w != nil {
 		fmt.Fprintf(w, "LRU cache stripe sweep: capacity %d, key range %d (get 65%% / put 25%% / peek 10%%)\n",
@@ -82,7 +82,7 @@ func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opt
 		impl := fmt.Sprintf("tx-lru-s%d", ns)
 		s := Series{Impl: impl, Stripes: ns}
 		for _, th := range cfg.Threads {
-			res, err := runCacheStripesPoint(cfg, ns, th, opts...)
+			res, err := runCacheStripesPoint(cfg, ns, th)
 			if err != nil {
 				return nil, err
 			}
@@ -102,8 +102,8 @@ func RunCacheStripesSweep(w io.Writer, rec *JSONRun, cfg CacheStripesConfig, opt
 	return out, nil
 }
 
-func runCacheStripesPoint(cfg CacheStripesConfig, stripes int, threads int, opts ...core.Option) (Result, error) {
-	tm := core.New(opts...)
+func runCacheStripesPoint(cfg CacheStripesConfig, stripes int, threads int) (Result, error) {
+	tm := core.New()
 	c := cache.NewWith[int](tm, cfg.Capacity, cache.Options{Stripes: stripes})
 	// Warm across the whole key range: in the hit-path regime every key
 	// is then resident for the whole measured window; in the churn

@@ -39,26 +39,26 @@ func stmListFactory(name string, cfg txstruct.ListConfig, opts ...core.Option) F
 
 // ClassicSTMFactory is "classic transactions" (TL2-style) with every
 // operation — including size — opaque: the paper's Figure 5 subject.
-func ClassicSTMFactory(opts ...core.Option) Factory {
+func ClassicSTMFactory() Factory {
 	return stmListFactory("classic-stm", txstruct.ListConfig{
 		Parse: core.Classic, Size: core.Classic,
-	}, opts...)
+	})
 }
 
 // ElasticMixedFactory labels the parse operations elastic and keeps size
 // classic: the paper's Figure 7 subject ("elastic + classic").
-func ElasticMixedFactory(opts ...core.Option) Factory {
+func ElasticMixedFactory() Factory {
 	return stmListFactory("elastic+classic", txstruct.ListConfig{
 		Parse: core.Elastic, Size: core.Classic,
-	}, opts...)
+	})
 }
 
 // SnapshotMixedFactory labels parses elastic and size snapshot: the
 // paper's Figure 9 subject (the full mixed model).
-func SnapshotMixedFactory(opts ...core.Option) Factory {
+func SnapshotMixedFactory() Factory {
 	return stmListFactory("elastic+snapshot", txstruct.ListConfig{
 		Parse: core.Elastic, Size: core.Snapshot,
-	}, opts...)
+	})
 }
 
 // STMListFactoryWith exposes stmListFactory for ablations (contention
@@ -112,11 +112,11 @@ func HarrisFactory() Factory {
 
 // HashSetFactory is the transactional hash set with the given semantics,
 // an additional structure beyond the paper's list benchmark.
-func HashSetFactory(name string, buckets int, cfg txstruct.ListConfig, opts ...core.Option) Factory {
+func HashSetFactory(name string, buckets int, cfg txstruct.ListConfig) Factory {
 	return Factory{
 		Name: name,
 		NewInstrumented: func() (intset.Set, StatsFn) {
-			tm := core.New(opts...)
+			tm := core.New()
 			return txstruct.NewHashSet(tm, buckets, cfg), tm.Stats
 		},
 		SupportsAtomicSize: true,
@@ -125,11 +125,11 @@ func HashSetFactory(name string, buckets int, cfg txstruct.ListConfig, opts ...c
 
 // SkipListFactory is the transactional skip list (classic parses,
 // configurable size semantics).
-func SkipListFactory(name string, sizeSem core.Semantics, opts ...core.Option) Factory {
+func SkipListFactory(name string, sizeSem core.Semantics) Factory {
 	return Factory{
 		Name: name,
 		NewInstrumented: func() (intset.Set, StatsFn) {
-			tm := core.New(opts...)
+			tm := core.New()
 			return txstruct.NewSkipList(tm, sizeSem), tm.Stats
 		},
 		SupportsAtomicSize: true,
@@ -152,10 +152,6 @@ type Figure struct {
 	Impls    []Factory
 	Workload Workload
 	Threads  []int
-	// stmOpts remembers the TM options the figure's transactional
-	// factories were built with, so BoxedVariant can rebuild their
-	// untyped twins under identical configuration.
-	stmOpts []core.Option
 }
 
 // DefaultThreads is the paper's sweep (1..64 hardware threads on the
@@ -165,40 +161,37 @@ func DefaultThreads() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 
 // Figure5 compares classic transactions against the concurrent collection
 // (paper: collection 2.2x faster than classic TL2 at 64 threads).
-func Figure5(w Workload, threads []int, opts ...core.Option) Figure {
+func Figure5(w Workload, threads []int) Figure {
 	return Figure{
 		Name:     "figure5",
 		Caption:  "Throughput over sequential: classic transactions vs existing collection",
-		Impls:    []Factory{ClassicSTMFactory(opts...), COWFactory()},
+		Impls:    []Factory{ClassicSTMFactory(), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 
 // Figure7 adds the elastic+classic mix (paper: 3.5x over classic, 1.6x
 // over the collection at best, with a 32->64 thread slowdown).
-func Figure7(w Workload, threads []int, opts ...core.Option) Figure {
+func Figure7(w Workload, threads []int) Figure {
 	return Figure{
 		Name:     "figure7",
 		Caption:  "Throughput over sequential: elastic+classic vs classic vs collection",
-		Impls:    []Factory{ElasticMixedFactory(opts...), ClassicSTMFactory(opts...), COWFactory()},
+		Impls:    []Factory{ElasticMixedFactory(), ClassicSTMFactory(), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 
 // Figure9 adds the snapshot size (paper: 4.3x over classic, 1.9x over the
 // collection at 64 threads, scaling to the maximum hardware threads).
-func Figure9(w Workload, threads []int, opts ...core.Option) Figure {
+func Figure9(w Workload, threads []int) Figure {
 	return Figure{
 		Name:     "figure9",
 		Caption:  "Throughput over sequential: mixed (elastic+snapshot) vs classic vs collection",
-		Impls:    []Factory{SnapshotMixedFactory(opts...), ClassicSTMFactory(opts...), COWFactory()},
+		Impls:    []Factory{SnapshotMixedFactory(), ClassicSTMFactory(), COWFactory()},
 		Workload: w,
 		Threads:  threads,
-		stmOpts:  opts,
 	}
 }
 

@@ -90,7 +90,9 @@ type JSONWorkload struct {
 }
 
 // JSONRun is one benchmark invocation: the environment, the workload, the
-// clock scheme under test and every figure measured.
+// clock scheme and every figure measured. Scheme is always "gv1" now that
+// the runtime has one commit clock; it stays so older runs in the
+// trajectory, some of which measured other schemes, read back unchanged.
 type JSONRun struct {
 	Bench      string       `json:"bench"`
 	Label      string       `json:"label"`
@@ -108,8 +110,8 @@ type JSONFile struct {
 	Runs []JSONRun `json:"runs"`
 }
 
-// NewJSONRun starts a run entry for the given tool, label and clock scheme.
-func NewJSONRun(benchName, label, scheme string, w Workload) *JSONRun {
+// NewJSONRun starts a run entry for the given tool and label.
+func NewJSONRun(benchName, label string, w Workload) *JSONRun {
 	return &JSONRun{
 		Bench:      benchName,
 		Label:      label,
@@ -117,7 +119,7 @@ func NewJSONRun(benchName, label, scheme string, w Workload) *JSONRun {
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Host:       hostInfo(),
-		Scheme:     scheme,
+		Scheme:     "gv1",
 		Workload: JSONWorkload{
 			InitialSize: w.InitialSize,
 			UpdatePct:   w.UpdatePct,

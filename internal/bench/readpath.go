@@ -25,8 +25,8 @@ var ReadPathModes = []string{"classic-read", "snapshot-pinned", "privatized-plai
 // readPathPoint measures one (mode, threads) point over a fresh
 // prepopulated map. Lookup keys are drawn uniformly from twice the
 // populated range, so roughly half the probes hit.
-func readPathPoint(mode string, size, threads int, dur time.Duration, opts ...core.Option) (Result, error) {
-	tm := core.New(opts...)
+func readPathPoint(mode string, size, threads int, dur time.Duration) (Result, error) {
+	tm := core.New()
 	m := txstruct.NewTreeMapOf[int](tm, core.Snapshot)
 	for k := 0; k < size; k++ {
 		if _, err := m.Put(k, k); err != nil {
@@ -89,7 +89,7 @@ func readPathPoint(mode string, size, threads int, dur time.Duration, opts ...co
 // point. With rec non-nil the points land in the trajectory under the
 // "read-path" figure, one series per mode (no sequential denominator —
 // the ratio column is the figure's claim).
-func RunReadPathSweep(w io.Writer, rec *JSONRun, size int, threads []int, dur time.Duration, opts ...core.Option) error {
+func RunReadPathSweep(w io.Writer, rec *JSONRun, size int, threads []int, dur time.Duration) error {
 	fmt.Fprintf(w, "read-path sweep: %d-element map, uniform lookups over twice the range (~50%% hits)\n", size)
 	fmt.Fprintf(w, "%8s %16s %16s %16s %12s\n", "threads", "classic/s", "pinned/s", "privatized/s", "priv/pinned")
 	series := make([]Series, len(ReadPathModes))
@@ -99,7 +99,7 @@ func RunReadPathSweep(w io.Writer, rec *JSONRun, size int, threads []int, dur ti
 	for _, th := range threads {
 		row := make([]Result, len(ReadPathModes))
 		for i, mode := range ReadPathModes {
-			res, err := readPathPoint(mode, size, th, dur, opts...)
+			res, err := readPathPoint(mode, size, th, dur)
 			if err != nil {
 				return err
 			}

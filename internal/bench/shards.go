@@ -58,8 +58,8 @@ func shardStats(p *shard.Partition) core.Stats {
 // "size"-class operation of the paper's Collection benchmark, scoped to
 // the clock domain that owns the key); of the rest, updatePct% are puts
 // and the remainder gets.
-func shardPoint(shards, size, threads, updatePct, sweepPct, crossPct int, dur time.Duration, opts ...core.Option) (Result, error) {
-	p := shard.New(shards, opts...)
+func shardPoint(shards, size, threads, updatePct, sweepPct, crossPct int, dur time.Duration) (Result, error) {
+	p := shard.New(shards)
 	m := shard.NewTreeMapOf[int](p, core.Snapshot)
 	for k := 0; k < size; k++ {
 		if _, err := m.Put(k, k); err != nil {
@@ -127,7 +127,7 @@ func shardPoint(shards, size, threads, updatePct, sweepPct, crossPct int, dur ti
 // ratio, CrossPct field set). No sequential denominator — the claim is
 // the ratio between the curves, led by 4-shard over 1-shard at the top of
 // the thread sweep.
-func RunShardSweep(w io.Writer, rec *JSONRun, size, updatePct, sweepPct int, threads []int, dur time.Duration, opts ...core.Option) error {
+func RunShardSweep(w io.Writer, rec *JSONRun, size, updatePct, sweepPct int, threads []int, dur time.Duration) error {
 	fmt.Fprintf(w, "shard sweep: %d-key tree, %d%% puts, %d%% whole-domain scans, disjoint worker stripes — ops/s per shard count\n",
 		size, updatePct, sweepPct)
 	fmt.Fprintf(w, "%8s", "threads")
@@ -143,7 +143,7 @@ func RunShardSweep(w io.Writer, rec *JSONRun, size, updatePct, sweepPct int, thr
 	for _, th := range threads {
 		fmt.Fprintf(w, "%8d", th)
 		for i, sc := range ShardCounts {
-			res, err := shardPoint(sc, size, th, updatePct, sweepPct, 0, dur, opts...)
+			res, err := shardPoint(sc, size, th, updatePct, sweepPct, 0, dur)
 			if err != nil {
 				return err
 			}
@@ -173,7 +173,7 @@ func RunShardSweep(w io.Writer, rec *JSONRun, size, updatePct, sweepPct int, thr
 	for _, th := range threads {
 		fmt.Fprintf(w, "%8d", th)
 		for i, pct := range CrossMixPcts {
-			res, err := shardPoint(CrossMixShards, size, th, updatePct, 0, pct, dur, opts...)
+			res, err := shardPoint(CrossMixShards, size, th, updatePct, 0, pct, dur)
 			if err != nil {
 				return err
 			}

@@ -31,114 +31,110 @@ func TestReadOnlyTransactionsAllocateNothing(t *testing.T) {
 		t.Skip("race-detector builds defeat sync.Pool reuse by design")
 	}
 	for _, sem := range []Semantics{Classic, Elastic, Snapshot} {
-		for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
-			t.Run(fmt.Sprintf("%s/%s", sem, scheme), func(t *testing.T) {
-				tm := New(WithClockScheme(scheme))
-				cells := make([]*Cell, 8)
-				typed := make([]*TypedCell[int], 8)
-				for i := range cells {
-					cells[i] = tm.NewCell(i)
-					typed[i] = NewTypedCell(tm, i)
+		t.Run(fmt.Sprintf("%s/%s", sem, clockName), func(t *testing.T) {
+			tm := New()
+			cells := make([]*Cell, 8)
+			typed := make([]*TypedCell[int], 8)
+			for i := range cells {
+				cells[i] = tm.NewCell(i)
+				typed[i] = NewTypedCell(tm, i)
+			}
+			fn := func(tx *Tx) error {
+				for _, c := range cells {
+					_ = tx.Load(c)
 				}
-				fn := func(tx *Tx) error {
-					for _, c := range cells {
-						_ = tx.Load(c)
-					}
-					for _, c := range typed {
-						_ = c.Load(tx)
-					}
-					return nil
+				for _, c := range typed {
+					_ = c.Load(tx)
 				}
-				// Warm the pool and the handle's read-set capacity.
-				for i := 0; i < 3; i++ {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Fatal(err)
-					}
+				return nil
+			}
+			// Warm the pool and the handle's read-set capacity.
+			for i := 0; i < 3; i++ {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Fatal(err)
 				}
-				allocs := measureAllocs(func() {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Error(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("read-only %s transaction allocates %.1f objects/op, want 0", sem, allocs)
+			}
+			allocs := measureAllocs(func() {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Error(err)
 				}
 			})
-		}
+			if allocs != 0 {
+				t.Errorf("read-only %s transaction allocates %.1f objects/op, want 0", sem, allocs)
+			}
+		})
 	}
 }
 
 // TestTypedUpdateTransactionsAllocateNothing is the headline fence of the
 // typed-cell work: a warm UPDATE transaction over typed cells — word
 // payloads and pointer payloads, classic and elastic (snapshot is
-// read-only by construction), every clock scheme — must not touch the
-// heap. Store encodes into the write set without boxing, and commit
+// read-only by construction) — must not touch the heap. Store encodes
+// into the write set without boxing, and commit
 // installs into records recycled through the cell's freelist.
 func TestTypedUpdateTransactionsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector builds defeat sync.Pool reuse by design")
 	}
 	for _, sem := range []Semantics{Classic, Elastic} {
-		for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
-			t.Run(fmt.Sprintf("word/%s/%s", sem, scheme), func(t *testing.T) {
-				tm := New(WithClockScheme(scheme))
-				cells := make([]*TypedCell[int], 4)
-				for i := range cells {
-					cells[i] = NewTypedCell(tm, i)
+		t.Run(fmt.Sprintf("word/%s/%s", sem, clockName), func(t *testing.T) {
+			tm := New()
+			cells := make([]*TypedCell[int], 4)
+			for i := range cells {
+				cells[i] = NewTypedCell(tm, i)
+			}
+			fn := func(tx *Tx) error {
+				for _, c := range cells {
+					c.Store(tx, c.Load(tx)+1)
 				}
-				fn := func(tx *Tx) error {
-					for _, c := range cells {
-						c.Store(tx, c.Load(tx)+1)
-					}
-					return nil
+				return nil
+			}
+			for i := 0; i < 3; i++ {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < 3; i++ {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Fatal(err)
-					}
-				}
-				allocs := measureAllocs(func() {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Error(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("typed %s update transaction allocates %.1f objects/op, want 0", sem, allocs)
+			}
+			allocs := measureAllocs(func() {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Error(err)
 				}
 			})
-			t.Run(fmt.Sprintf("pointer/%s/%s", sem, scheme), func(t *testing.T) {
-				tm := New(WithClockScheme(scheme))
-				// Pointer payloads: rotate pre-allocated nodes through the
-				// cells, the shape of a linked-structure unlink/relink.
-				type nodeT struct{ v int }
-				nodes := [3]*nodeT{{1}, {2}, {3}}
-				cells := make([]*TypedCell[*nodeT], 3)
-				for i := range cells {
-					cells[i] = NewTypedCell(tm, nodes[i])
+			if allocs != 0 {
+				t.Errorf("typed %s update transaction allocates %.1f objects/op, want 0", sem, allocs)
+			}
+		})
+		t.Run(fmt.Sprintf("pointer/%s/%s", sem, clockName), func(t *testing.T) {
+			tm := New()
+			// Pointer payloads: rotate pre-allocated nodes through the
+			// cells, the shape of a linked-structure unlink/relink.
+			type nodeT struct{ v int }
+			nodes := [3]*nodeT{{1}, {2}, {3}}
+			cells := make([]*TypedCell[*nodeT], 3)
+			for i := range cells {
+				cells[i] = NewTypedCell(tm, nodes[i])
+			}
+			fn := func(tx *Tx) error {
+				first := cells[0].Load(tx)
+				for i := 0; i < len(cells)-1; i++ {
+					cells[i].Store(tx, cells[i+1].Load(tx))
 				}
-				fn := func(tx *Tx) error {
-					first := cells[0].Load(tx)
-					for i := 0; i < len(cells)-1; i++ {
-						cells[i].Store(tx, cells[i+1].Load(tx))
-					}
-					cells[len(cells)-1].Store(tx, first)
-					return nil
+				cells[len(cells)-1].Store(tx, first)
+				return nil
+			}
+			for i := 0; i < 3; i++ {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Fatal(err)
 				}
-				for i := 0; i < 3; i++ {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Fatal(err)
-					}
-				}
-				allocs := measureAllocs(func() {
-					if err := tm.Atomically(sem, fn); err != nil {
-						t.Error(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("typed %s pointer update allocates %.1f objects/op, want 0", sem, allocs)
+			}
+			allocs := measureAllocs(func() {
+				if err := tm.Atomically(sem, fn); err != nil {
+					t.Error(err)
 				}
 			})
-		}
+			if allocs != 0 {
+				t.Errorf("typed %s pointer update allocates %.1f objects/op, want 0", sem, allocs)
+			}
+		})
 	}
 }
 
@@ -153,46 +149,44 @@ func TestTypedUpdatesStayZeroAllocWithPinBookkeeping(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector builds defeat sync.Pool reuse by design")
 	}
-	for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			tm := New(WithClockScheme(scheme))
-			cells := make([]*TypedCell[int], 4)
-			for i := range cells {
-				cells[i] = NewTypedCell(tm, i)
+	t.Run(clockName, func(t *testing.T) {
+		tm := New()
+		cells := make([]*TypedCell[int], 4)
+		for i := range cells {
+			cells[i] = NewTypedCell(tm, i)
+		}
+		fn := func(tx *Tx) error {
+			for _, c := range cells {
+				c.Store(tx, c.Load(tx)+1)
 			}
-			fn := func(tx *Tx) error {
-				for _, c := range cells {
-					c.Store(tx, c.Load(tx)+1)
-				}
-				return nil
+			return nil
+		}
+		run := func() {
+			if err := tm.Atomically(Classic, fn); err != nil {
+				t.Error(err)
 			}
-			run := func() {
-				if err := tm.Atomically(Classic, fn); err != nil {
-					t.Error(err)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				run()
-			}
-			if allocs := measureAllocs(run); allocs != 0 {
-				t.Errorf("warm typed update with pin bookkeeping allocates %.1f objects/op, want 0", allocs)
-			}
-			pin, err := tm.PinSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if allocs := testing.AllocsPerRun(50, run); allocs < 0.5 {
-				t.Errorf("updates under an active pin allocate %.1f objects/op, want >= 1 (version retention)", allocs)
-			}
-			pin.Release()
-			for i := 0; i < 3; i++ {
-				run() // cut the backlog, refill the freelist
-			}
-			if allocs := measureAllocs(run); allocs != 0 {
-				t.Errorf("warm typed update after pin release allocates %.1f objects/op, want 0", allocs)
-			}
-		})
-	}
+		}
+		for i := 0; i < 3; i++ {
+			run()
+		}
+		if allocs := measureAllocs(run); allocs != 0 {
+			t.Errorf("warm typed update with pin bookkeeping allocates %.1f objects/op, want 0", allocs)
+		}
+		pin, err := tm.PinSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, run); allocs < 0.5 {
+			t.Errorf("updates under an active pin allocate %.1f objects/op, want >= 1 (version retention)", allocs)
+		}
+		pin.Release()
+		for i := 0; i < 3; i++ {
+			run() // cut the backlog, refill the freelist
+		}
+		if allocs := measureAllocs(run); allocs != 0 {
+			t.Errorf("warm typed update after pin release allocates %.1f objects/op, want 0", allocs)
+		}
+	})
 }
 
 // TestUpdateTransactionsAllocateLittle fences the UNTYPED update path: the

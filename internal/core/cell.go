@@ -44,11 +44,10 @@ const (
 //     sampleAt). Records are only rewritten while the cell's write lock is
 //     held, and every successful commit publishes a strictly larger version
 //     (each committer draws its write version after acquiring the lock, so
-//     after the previous writer pushed its version into the global clock —
-//     true under all clock schemes), so "meta unchanged across the bracket"
-//     proves no install — and hence no record rewrite — intervened. An
-//     aborting lock holder restores the old meta word, but aborts never
-//     touch records.
+//     after the previous writer pushed its version into the global clock),
+//     so "meta unchanged across the bracket" proves no install — and hence
+//     no record rewrite — intervened. An aborting lock holder restores the
+//     old meta word, but aborts never touch records.
 //
 // The ref field is the exception: it is written once before the record is
 // published and never again (shapeRef records are excluded from recycling),

@@ -9,6 +9,16 @@ import (
 // It returns true on success; on failure tx.abortReason is set and all
 // acquired locks have been released with their cells unchanged.
 //
+// The global version clock (TM.clock) orders all commits, in the style of
+// TL2 (Dice, Shalev, Shavit, DISC 2006). Every committed update
+// transaction draws a fresh write version from it; every unpinned attempt
+// samples it for its read version. It is the single piece of shared
+// metadata all three semantics agree on, which is what lets them cohabit
+// over the same cells. It is one word advanced by fetch-and-add (TL2's
+// GV1): write versions are unique and each clock transition is exactly
+// one commit, which licenses the "wv == rv+1 ⇒ skip read validation"
+// inference below.
+//
 // Protocol (TL2 with exact-version validation, shared by all semantics):
 //
 //  1. read-only transactions commit immediately — their reads were
@@ -17,9 +27,8 @@ import (
 //  2. acquire versioned locks on the write set in global cell-id order
 //     (deadlock freedom), arbitrating contention through the CM;
 //  3. draw the write version wv from the global clock;
-//  4. validate the read set (skippable under a strict clock scheme when
-//     wv == rv+1: no concurrent commit happened since the transaction's
-//     reads were known valid);
+//  4. validate the read set (skipped when wv == rv+1: no concurrent
+//     commit happened since the transaction's reads were known valid);
 //  5. install new records — keeping the configured number of past
 //     versions for snapshot readers — and release the locks at wv.
 func (tx *Tx) commit() bool {
@@ -51,12 +60,12 @@ func (tx *Tx) commit() bool {
 		}
 	}
 
-	// Draw the write version. Under a strict scheme, wv == rv+1 proves no
-	// concurrent commit intervened since the reads were validated, so the
-	// read set need not be re-checked; non-strict schemes (adopted/shared
-	// versions) must always validate.
-	wv, strict := tx.tm.clock.Commit(tx.idEnd / txIDBatch)
-	if !strict || wv != tx.rv+1 {
+	// Draw the write version with all write locks held (the locks are
+	// released only after the installs). wv == rv+1 proves no concurrent
+	// commit intervened since the reads were validated, so the read set
+	// need not be re-checked.
+	wv := tx.tm.clock.Add(1)
+	if wv != tx.rv+1 {
 		if !tx.validateReads() {
 			return tx.commitFail(len(tx.writes), AbortValidation)
 		}

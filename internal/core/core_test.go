@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// clockName is the commit clock's name as TM.ClockScheme reports it. Tests
+// that once ran per clock scheme keep it as a subtest level, so their
+// results stay comparable with runs recorded under those names.
+const clockName = "gv1"
+
 func mustAtomically(t *testing.T, tm *TM, sem Semantics, fn func(*Tx) error) {
 	t.Helper()
 	if err := tm.Atomically(sem, fn); err != nil {
@@ -545,6 +550,36 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.Attempts < st.Commits {
 		t.Fatalf("attempts %d < commits %d", st.Attempts, st.Commits)
+	}
+}
+
+// TestLoneCommitterNeverAborts: with no concurrent committer every attempt
+// samples a clock at least as new as every cell it reads, so sequential
+// update transactions from one goroutine must each commit on their first
+// attempt. A stale first-attempt read version would surface here as
+// read-invalid aborts, once per refresh of the stale source.
+func TestLoneCommitterNeverAborts(t *testing.T) {
+	const txs = 20000
+	tm := New()
+	cells := make([]*TypedCell[int], 4)
+	for i := range cells {
+		cells[i] = NewTypedCell(tm, 0)
+	}
+	for i := 0; i < txs; i++ {
+		c := cells[i%len(cells)]
+		mustAtomically(t, tm, Classic, func(tx *Tx) error {
+			c.Store(tx, c.Load(tx)+1)
+			return nil
+		})
+	}
+	st := tm.Stats()
+	if st.Commits != txs || st.Attempts != st.Commits {
+		t.Fatalf("commits = %d, attempts = %d, want both %d", st.Commits, st.Attempts, txs)
+	}
+	for reason, n := range st.Aborts {
+		if n != 0 {
+			t.Errorf("%d %s abort(s) with a single committer", n, reason)
+		}
 	}
 }
 

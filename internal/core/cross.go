@@ -259,9 +259,9 @@ func (x *CrossTx) acquireRead(c *cell) (uint64, bool) {
 // The coordinator calls it during the decide step, under its decision
 // mutex, in canonical shard order — which is what makes per-shard write
 // versions of cross-shard commits monotone in the global decision order
-// (every clock scheme's sequential draws on one stripe are strictly
-// increasing; cross commits all draw from stripe 0). Only meaningful for
-// updating participants; read-only ones serialize at their read version.
+// (sequential draws from one clock are strictly increasing). Only
+// meaningful for updating participants; read-only ones serialize at their
+// read version.
 func (x *CrossTx) DrawVersion() uint64 {
 	if x.state != crossPrepared {
 		panic("core: DrawVersion on an unprepared cross sub-transaction")
@@ -269,7 +269,7 @@ func (x *CrossTx) DrawVersion() uint64 {
 	if len(x.tx.writes) == 0 {
 		panic("core: DrawVersion on a read-only cross participant")
 	}
-	wv, _ := x.tm.clock.Commit(0)
+	wv := x.tm.clock.Add(1)
 	x.wv = wv
 	return wv
 }

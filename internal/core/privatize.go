@@ -190,11 +190,10 @@ func (tm *TM) Privatize() (*Private, error) {
 	tm.privMu.Lock()
 	defer tm.privMu.Unlock()
 	tm.quiesce.barrier()
-	// The epoch must be an exact clock read taken after the drain —
-	// PinSnapshot's announce-then-adopt protocol reads Now() twice and
-	// adopts the second. Never a per-P recent cache (clock.NowRecent):
-	// a stale stripe could place the epoch before a drained commit's
-	// write version, un-admitting it.
+	// The epoch must be a clock read taken after the drain, so it is at
+	// or above every drained commit's write version — PinSnapshot's
+	// announce-then-adopt protocol reads the clock twice and adopts the
+	// second.
 	pin, err := tm.PinSnapshot()
 	if err != nil {
 		return nil, err

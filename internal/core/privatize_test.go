@@ -147,33 +147,6 @@ func TestPrivatizeDetachRepublishCycle(t *testing.T) {
 	}
 }
 
-// TestPrivatizeEpochExactUnderShardedClock is the white-box regression
-// for the epoch fence's clock discipline: under the sharded clock the
-// per-stripe NowRecent cache is genuinely stale (demonstrated first),
-// and the detach epoch must nevertheless be an exact Now() — at or above
-// every version committed before the detach. An implementation that drew
-// the epoch from a cold stripe's cache would place it below preNow.
-func TestPrivatizeEpochExactUnderShardedClock(t *testing.T) {
-	tm := New(WithClockScheme(ClockGVSharded))
-	// Advance stripe 0 far past stripe 1, so the staleness the fence must
-	// not inherit is real and observable.
-	for i := 0; i < 10; i++ {
-		tm.clock.Commit(0)
-	}
-	if recent, now := tm.clock.NowRecent(1), tm.clock.Now(); recent >= now {
-		t.Fatalf("precondition failed: NowRecent(1)=%d not stale against Now()=%d", recent, now)
-	}
-	preNow := tm.clock.Now()
-	p, err := tm.Privatize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Republish()
-	if p.Epoch() < preNow {
-		t.Fatalf("detach epoch %d is below Now()=%d sampled before Privatize: the fence used a stale clock read", p.Epoch(), preNow)
-	}
-}
-
 // TestLoadDetachedZeroAlloc pins the tentpole's cost claim: a detached
 // read of a word-shaped typed cell performs zero allocations. (Race
 // builds skip — the race runtime's instrumentation allocates.)

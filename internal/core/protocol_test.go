@@ -46,7 +46,7 @@ func TestSnapshotWaitsOutHeldLock(t *testing.T) {
 
 	// Publish a new version and release; the snapshot started before the
 	// writer's version draw, so it reads the OLD value from the chain.
-	wv := tm.clock.Advance()
+	wv := tm.clock.Add(1)
 	c.h.install(vbox{ref: 20}, wv, tm.keepVersions, noPinWatermark)
 	c.h.unlock(wv)
 	select {
@@ -175,7 +175,7 @@ func TestRetireRecyclesTypedRecords(t *testing.T) {
 	tx.beginAttempt()
 	seen := make(map[*rec]int)
 	for i := 1; i <= 8; i++ {
-		wv := tm.clock.Advance()
+		wv := tm.clock.Add(1)
 		if _, ok := c.h.tryLock(tx); !ok {
 			t.Fatal("lock failed")
 		}
@@ -193,7 +193,7 @@ func TestRetireRecyclesTypedRecords(t *testing.T) {
 	u := tm.NewCell(0)
 	useen := make(map[*rec]bool)
 	for i := 1; i <= 8; i++ {
-		wv := tm.clock.Advance()
+		wv := tm.clock.Add(1)
 		tx2 := newTx(tm, Classic)
 		tx2.beginAttempt()
 		if _, ok := u.h.tryLock(tx2); !ok {
@@ -213,7 +213,7 @@ func TestInstallKeepsConfiguredDepth(t *testing.T) {
 	tm := New(WithMaxVersions(3))
 	c := tm.NewCell(0)
 	for i := 1; i <= 6; i++ {
-		wv := tm.clock.Advance()
+		wv := tm.clock.Add(1)
 		tx := newTx(tm, Classic)
 		tx.beginAttempt()
 		if _, ok := c.h.tryLock(tx); !ok {

@@ -162,7 +162,7 @@ func (tx *Tx) readElastic(c *cell) vbox {
 // the new instant. Returns false when a past read is stale — the conflict
 // is real and the caller aborts.
 func (tx *Tx) extendReadVersion() bool {
-	newRv := tx.tm.clock.Now()
+	newRv := tx.tm.clock.Load()
 	for i := range tx.reads {
 		m := tx.reads[i].cell.meta.Load()
 		if isLocked(m) || version(m) != tx.reads[i].ver {

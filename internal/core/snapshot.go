@@ -153,14 +153,14 @@ type SnapshotPin struct {
 // so a sustained commit stream cannot starve it.
 //
 // The protocol announces FIRST and adopts the pinned version SECOND: the
-// slot (and watermark) is published at a lower bound p0 = Now(), and the
-// pin's version is a fresh Now() read AFTER the announce. That ordering is
+// slot (and watermark) is published at a lower bound p0 (a clock read),
+// and the pin's version is a fresh clock read AFTER the announce. That ordering is
 // what makes confirmation unnecessary (atomics are sequentially
 // consistent):
 //
 //   - a commit with wv > Version must have drawn wv after our second
-//     clock read (had it drawn — i.e. published on its clock word —
-//     before, that read would have returned >= wv), hence after the
+//     clock read (had it drawn before, that read would have returned
+//     >= wv), hence after the
 //     announce, hence its post-draw watermark sample sees a value <= p0
 //     and it retains every record a reader at Version can reach (retire
 //     keeps everything above the watermark plus the first record at or
@@ -171,12 +171,12 @@ type SnapshotPin struct {
 // The pin retains from p0 rather than Version — over-retention bounded by
 // the handful of commits that land between the two reads.
 func (tm *TM) PinSnapshot() (*SnapshotPin, error) {
-	p0 := tm.clock.Now()
+	p0 := tm.clock.Load()
 	slot := tm.pins.acquire(p0)
 	if slot == nil {
 		return nil, ErrTooManyPins
 	}
-	ver := tm.clock.Now()
+	ver := tm.clock.Load()
 	tm.stats.pins.Add(1)
 	return &SnapshotPin{tm: tm, ver: ver, slot: slot}, nil
 }

@@ -12,67 +12,65 @@ import (
 // number of intervening commits, while unpinned snapshots track the live
 // state; after Release the pin refuses further use.
 func TestPinSnapshotFreezesState(t *testing.T) {
-	for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			tm := New(WithClockScheme(scheme))
-			cells := make([]*TypedCell[int], 4)
-			for i := range cells {
-				cells[i] = NewTypedCell(tm, i)
-			}
-			pin, err := tm.PinSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Overwrite every cell many times past the version budget.
-			for round := 0; round < 10; round++ {
-				if err := tm.Atomically(Classic, func(tx *Tx) error {
-					for _, c := range cells {
-						c.Store(tx, c.Load(tx)+100)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The pin still reads the pre-update state, one transaction per
-			// cell — multi-transaction consistency is the point.
-			for i, c := range cells {
-				var got int
-				if err := pin.Atomically(func(tx *Tx) error {
-					got = c.Load(tx)
-					return nil
-				}); err != nil {
-					t.Fatalf("pinned read: %v", err)
-				}
-				if got != i {
-					t.Fatalf("pinned read of cell %d = %d, want %d", i, got, i)
-				}
-			}
-			// A fresh snapshot transaction sees the live values.
-			if err := tm.Atomically(Snapshot, func(tx *Tx) error {
-				if got := cells[0].Load(tx); got != 1000 {
-					t.Errorf("live snapshot read = %d, want 1000", got)
+	t.Run(clockName, func(t *testing.T) {
+		tm := New()
+		cells := make([]*TypedCell[int], 4)
+		for i := range cells {
+			cells[i] = NewTypedCell(tm, i)
+		}
+		pin, err := tm.PinSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Overwrite every cell many times past the version budget.
+		for round := 0; round < 10; round++ {
+			if err := tm.Atomically(Classic, func(tx *Tx) error {
+				for _, c := range cells {
+					c.Store(tx, c.Load(tx)+100)
 				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if tm.PinnedVersions() != 1 {
-				t.Fatalf("PinnedVersions = %d, want 1", tm.PinnedVersions())
+		}
+		// The pin still reads the pre-update state, one transaction per
+		// cell — multi-transaction consistency is the point.
+		for i, c := range cells {
+			var got int
+			if err := pin.Atomically(func(tx *Tx) error {
+				got = c.Load(tx)
+				return nil
+			}); err != nil {
+				t.Fatalf("pinned read: %v", err)
 			}
-			pin.Release()
-			pin.Release() // idempotent
-			if tm.PinnedVersions() != 0 {
-				t.Fatalf("PinnedVersions after release = %d, want 0", tm.PinnedVersions())
+			if got != i {
+				t.Fatalf("pinned read of cell %d = %d, want %d", i, got, i)
 			}
-			if err := pin.Atomically(func(*Tx) error { return nil }); !errors.Is(err, ErrPinReleased) {
-				t.Fatalf("use after release: err = %v, want ErrPinReleased", err)
+		}
+		// A fresh snapshot transaction sees the live values.
+		if err := tm.Atomically(Snapshot, func(tx *Tx) error {
+			if got := cells[0].Load(tx); got != 1000 {
+				t.Errorf("live snapshot read = %d, want 1000", got)
 			}
-			if got := tm.Stats().SnapshotPins; got != 1 {
-				t.Fatalf("Stats().SnapshotPins = %d, want 1", got)
-			}
-		})
-	}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tm.PinnedVersions() != 1 {
+			t.Fatalf("PinnedVersions = %d, want 1", tm.PinnedVersions())
+		}
+		pin.Release()
+		pin.Release() // idempotent
+		if tm.PinnedVersions() != 0 {
+			t.Fatalf("PinnedVersions after release = %d, want 0", tm.PinnedVersions())
+		}
+		if err := pin.Atomically(func(*Tx) error { return nil }); !errors.Is(err, ErrPinReleased) {
+			t.Fatalf("use after release: err = %v, want ErrPinReleased", err)
+		}
+		if got := tm.Stats().SnapshotPins; got != 1 {
+			t.Fatalf("Stats().SnapshotPins = %d, want 1", got)
+		}
+	})
 }
 
 // TestPinnedSnapshotNeverSeesRecycledRecord is the reclamation-safety
@@ -90,68 +88,66 @@ func TestPinnedSnapshotNeverSeesRecycledRecord(t *testing.T) {
 		committers = 8
 		readerTxs  = 400
 	)
-	for _, scheme := range []ClockScheme{ClockGV1, ClockGVPass, ClockGVSharded} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			tm := New(WithClockScheme(scheme))
-			cells := make([]*TypedCell[int], ncells)
-			for i := range cells {
-				cells[i] = NewTypedCell(tm, 0)
+	t.Run(clockName, func(t *testing.T) {
+		tm := New()
+		cells := make([]*TypedCell[int], ncells)
+		for i := range cells {
+			cells[i] = NewTypedCell(tm, 0)
+		}
+		// Establish a known committed state, then pin it.
+		if err := tm.Atomically(Classic, func(tx *Tx) error {
+			for _, c := range cells {
+				c.Store(tx, 7)
 			}
-			// Establish a known committed state, then pin it.
-			if err := tm.Atomically(Classic, func(tx *Tx) error {
-				for _, c := range cells {
-					c.Store(tx, 7)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		pin, err := tm.PinSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pin.Release()
+
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		for w := 0; w < committers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					_ = tm.Atomically(Classic, func(tx *Tx) error {
+						v := cells[0].Load(tx)
+						for _, c := range cells {
+							c.Store(tx, v+1)
+						}
+						return nil
+					})
+				}
+			}()
+		}
+
+		for i := 0; i < readerTxs; i++ {
+			if err := pin.Atomically(func(tx *Tx) error {
+				for j, c := range cells {
+					if got := c.Load(tx); got != 7 {
+						t.Errorf("pinned tx %d read cell %d = %d, want 7", i, j, got)
+					}
 				}
 				return nil
 			}); err != nil {
-				t.Fatal(err)
+				t.Errorf("pinned tx %d: %v", i, err)
 			}
-			pin, err := tm.PinSnapshot()
-			if err != nil {
-				t.Fatal(err)
+			if t.Failed() {
+				break
 			}
-			defer pin.Release()
-
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for w := 0; w < committers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						_ = tm.Atomically(Classic, func(tx *Tx) error {
-							v := cells[0].Load(tx)
-							for _, c := range cells {
-								c.Store(tx, v+1)
-							}
-							return nil
-						})
-					}
-				}()
-			}
-
-			for i := 0; i < readerTxs; i++ {
-				if err := pin.Atomically(func(tx *Tx) error {
-					for j, c := range cells {
-						if got := c.Load(tx); got != 7 {
-							t.Errorf("pinned tx %d read cell %d = %d, want 7", i, j, got)
-						}
-					}
-					return nil
-				}); err != nil {
-					t.Errorf("pinned tx %d: %v", i, err)
-				}
-				if t.Failed() {
-					break
-				}
-			}
-			stop.Store(true)
-			wg.Wait()
-			if n := tm.Stats().Aborts[AbortSnapshotTooOld]; n != 0 {
-				t.Fatalf("pinned snapshot lost its version %d time(s): pin-aware reclamation failed", n)
-			}
-		})
-	}
+		}
+		stop.Store(true)
+		wg.Wait()
+		if n := tm.Stats().Aborts[AbortSnapshotTooOld]; n != 0 {
+			t.Fatalf("pinned snapshot lost its version %d time(s): pin-aware reclamation failed", n)
+		}
+	})
 }
 
 // TestPinReleaseRestoresReclamation verifies the version-chain life cycle

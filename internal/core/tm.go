@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // Default tuning values; all are overridable through Options.
@@ -25,7 +23,6 @@ const (
 // must only be accessed through transactions of the same TM, because
 // version numbers are meaningful only against one clock.
 type TM struct {
-	clock        *clock.Clock
 	cm           ContentionManager
 	recorder     Recorder
 	keepVersions int
@@ -37,7 +34,11 @@ type TM struct {
 	backoffMax   time.Duration
 	durableAck   func(tx *Tx) error
 
-	stats      counters
+	stats counters
+	// clock is the global version clock (commit.go): update commits draw
+	// write versions from it with one fetch-and-add, and every unpinned
+	// attempt samples it for its read version. Fresh cells carry version 0.
+	clock      padUint64
 	nextCellID padUint64 // drained in blocks of cellIDBatch via cellIDs
 	nextTxID   padUint64 // drained in blocks of txIDBatch by pooled handles
 
@@ -78,33 +79,6 @@ func drawBlock(counter *padUint64, batch uint64) (next, end uint64) {
 
 // Option configures a TM.
 type Option func(*TM)
-
-// ClockScheme selects the commit-versioning algorithm of the TM's global
-// clock; see the internal/clock package for the trade-offs.
-type ClockScheme = clock.Scheme
-
-// Clock scheme labels, re-exported for callers configuring a TM.
-const (
-	// ClockGV1 is the single fetch-and-add clock word (the default).
-	ClockGV1 = clock.GV1
-	// ClockGVPass adopts the winner's value when the commit CAS fails
-	// (TL2's GV4); commits always validate their read sets.
-	ClockGVPass = clock.GVPassOnFailure
-	// ClockGVSharded stripes the clock across padded words so commits on
-	// different stripes never contend.
-	ClockGVSharded = clock.GVSharded
-)
-
-// WithClockScheme selects the global-clock commit-versioning scheme. The
-// default, ClockGV1, serializes all update commits on one fetch-and-add;
-// the alternatives trade that single hot word for either adopted (shared)
-// write versions (ClockGVPass) or striped unique versions
-// (ClockGVSharded). Every scheme preserves each semantics' guarantee —
-// cmd/stormcheck runs its storms and the exhaustive explorer under all of
-// them.
-func WithClockScheme(s ClockScheme) Option {
-	return func(tm *TM) { tm.clock = clock.NewScheme(s) }
-}
 
 // WithContentionManager installs a conflict-arbitration policy. The default
 // policy waits briefly and then aborts the blocked transaction.
@@ -216,7 +190,6 @@ func WithBackoff(base, maxWait time.Duration) Option {
 // New builds a transactional memory runtime.
 func New(opts ...Option) *TM {
 	tm := &TM{
-		clock:        clock.New(),
 		cm:           &defaultCM{patience: defaultPatience},
 		keepVersions: defaultKeepVersions,
 		windowSize:   defaultWindowSize,
@@ -269,10 +242,11 @@ func (tm *TM) initCell(c *cell, shape cellShape, v vbox) {
 func (tm *TM) Stats() Stats { return tm.stats.snapshot() }
 
 // ClockNow exposes the current global version, for tests and tools.
-func (tm *TM) ClockNow() uint64 { return tm.clock.Now() }
+func (tm *TM) ClockNow() uint64 { return tm.clock.Load() }
 
-// ClockScheme reports which commit-versioning scheme the TM's clock uses.
-func (tm *TM) ClockScheme() ClockScheme { return tm.clock.Scheme() }
+// ClockScheme names the commit-versioning scheme, for benchmark reports:
+// always "gv1", TL2's single fetch-and-add clock word.
+func (tm *TM) ClockScheme() string { return "gv1" }
 
 // errRetryAttempt is the internal marker for "this attempt aborted, retry".
 var errRetryAttempt = errors.New("internal: retry attempt")

@@ -239,27 +239,9 @@ func (tx *Tx) beginAttempt() {
 	}
 	tx.onCommit = tx.onCommit[:0]
 	tx.onAbort = tx.onAbort[:0]
-	var now uint64
-	switch {
-	case tx.pinned:
-		// Pinned snapshot: every attempt reads at the pin's version.
-		now = tx.pinVer
-	case tx.sem != Snapshot && tx.attempt == 1:
-		// First attempts of classic and elastic transactions take a
-		// recently published version instead of the exact clock — under
-		// GVSharded one padded load of the handle's own commit stripe
-		// rather than the O(stripes) scan. A stale read version is sound
-		// (validation against it only aborts more) and the stripe doubles
-		// as a per-P commit cache: this handle's own commits refresh it,
-		// so read-your-own-commits freshness is exact. Retries resample
-		// the true clock, which bounds the extra aborts staleness can
-		// cause to one per transaction.
-		now = tx.tm.clock.NowRecent(tx.idEnd / txIDBatch)
-	default:
-		// Snapshot transactions always pay for the exact clock: their ub
-		// is their serialization point, and a stale ub would serialize
-		// them before operations that completed earlier in real time.
-		now = tx.tm.clock.Now()
+	now := tx.pinVer // pinned snapshot: every attempt reads at the pin's version
+	if !tx.pinned {
+		now = tx.tm.clock.Load()
 	}
 	tx.rv = now
 	tx.ub = now

@@ -59,7 +59,7 @@ func (tx *Tx) store(c *cell, v vbox) {
 // behave classically against the piece read version, and commit validates
 // window plus reads exactly like a classic transaction.
 func (tx *Tx) sealElastic() {
-	tx.rv = tx.tm.clock.Now()
+	tx.rv = tx.tm.clock.Load()
 	if !tx.windowValid() {
 		tx.abort(AbortWindowInvalid)
 	}

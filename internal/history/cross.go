@@ -13,9 +13,9 @@ import (
 // that shard's own clock — must appear in exactly the order the
 // coordinator decided. The coordinator constructs that by drawing all
 // versions for one decision under its decision mutex, in canonical shard
-// order, from a fixed clock stripe (sequential draws on one stripe are
-// strictly increasing under every scheme); this check verifies the
-// construction against what the shards actually recorded.
+// order (sequential draws from one clock are strictly increasing); this
+// check verifies the construction against what the shards actually
+// recorded.
 
 // CrossPart is one shard's participation in a committed cross-shard
 // transaction.

@@ -739,9 +739,9 @@ func (s *Store[V]) Replay(m *Map[V]) (*ReplayInfo, error) {
 	}
 	// File order is enqueue order, not commit order; redo must apply in
 	// commit-version order (conflicting writers serialized through cell
-	// locks in exactly that order). The sort is stable so records sharing
-	// a version — GVPass adopts the winner's version, and such commits
-	// have disjoint write sets — keep their enqueue order.
+	// locks in exactly that order). Within one clock domain every commit
+	// draws a unique write version, so the order is total; the sort is
+	// stable only so replay stays deterministic whatever the input.
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].ver < tail[j].ver })
 	d := &Diff[V]{}
 	for _, rec := range tail {

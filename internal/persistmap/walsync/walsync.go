@@ -300,7 +300,7 @@ func (d *Daemon) Close() error {
 }
 
 // loop is the group-commit goroutine: drain a batch, write it, (crash
-// hook), fsync once, ack everyone in it, roll if the segment is full.
+// hook), fsync once, roll if the segment is full, ack everyone in it.
 func (d *Daemon) loop() {
 	defer close(d.done)
 	for {
@@ -368,15 +368,21 @@ func (d *Daemon) loop() {
 		}
 		seq := d.seq
 		d.mu.Unlock()
+		// Roll before acking, so a committer that holds its ack also sees
+		// the full segment sealed: a TrimTo issued after the ack can then
+		// age the record out instead of finding it in the open segment.
+		var rerr error
+		if d.size >= d.cfg.SegmentBytes {
+			rerr = d.roll(seq)
+		}
 		for _, p := range batch {
 			p.ack <- nil
 		}
-		if d.size >= d.cfg.SegmentBytes {
-			if err := d.roll(seq); err != nil {
-				// No further record can ever be made durable: poison.
-				d.poisonAll(nil, err)
-				return
-			}
+		if rerr != nil {
+			// The batch is durable, but no further record can ever be
+			// made durable: poison.
+			d.poisonAll(nil, rerr)
+			return
 		}
 	}
 }

@@ -54,7 +54,8 @@ type Partition struct {
 }
 
 // New builds a partition of n shards, applying the same options to every
-// shard's TM (e.g. a clock scheme). Use NewWith for per-shard options.
+// shard's TM (e.g. a contention manager). Use NewWith for per-shard
+// options.
 func New(n int, opts ...core.Option) *Partition {
 	return NewWith(n, func(int) []core.Option { return opts })
 }

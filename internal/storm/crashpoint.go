@@ -61,10 +61,7 @@ type crashAck struct {
 // before the cut. Recovering more than was acked is legal (a record can
 // be durable an instant before its ack returns); recovering less, or
 // any state that is not an exact commit prefix, fails.
-//
-// opts configure the TM under exploration (clock scheme …) so the
-// enumeration can run against every runtime configuration.
-func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) (*CrashPointReport, error) {
+func ExploreCrashPoints(name string, cfg CrashPointConfig) (*CrashPointReport, error) {
 	if cfg.Commits <= 0 {
 		cfg.Commits = 32
 	}
@@ -82,7 +79,7 @@ func ExploreCrashPoints(name string, cfg CrashPointConfig, opts ...core.Option) 
 	// Recorded run: everything the durability stack writes goes through
 	// the tracing fs; nothing touches the real disk.
 	ffs := faultfs.New(nil)
-	tm := core.New(opts...)
+	tm := core.New()
 	m := persistmap.New[int](tm)
 	s, err := persistmap.NewStoreWith(dir, persistmap.IntCodec{}, persistmap.StoreOptions{FS: ffs})
 	if err != nil {

@@ -53,11 +53,7 @@ const (
 // ungated. After each schedule the recorded history must pass the
 // cross-semantics verdict and the final memory state must equal the
 // outcome of some serial order of the programs.
-//
-// opts configure the TM under exploration (clock scheme, window size …) on
-// top of the explorer's own recorder and spin budget, so the exhaustive
-// suite can be replayed against every runtime configuration.
-func ExploreTiny(name string, programs []TinyProgram, opts ...core.Option) (*ExploreReport, error) {
+func ExploreTiny(name string, programs []TinyProgram) (*ExploreReport, error) {
 	if len(programs) == 0 || len(programs) > maxTinyPrograms {
 		return nil, fmt.Errorf("explore: need 1..%d programs, have %d", maxTinyPrograms, len(programs))
 	}
@@ -81,7 +77,7 @@ func ExploreTiny(name string, programs []TinyProgram, opts ...core.Option) (*Exp
 	rep := &ExploreReport{Case: name, Schedules: len(schedules)}
 	finals := serialOutcomes(programs)
 	for si, sched := range schedules {
-		stats, err := runSchedule(programs, sched, finals, opts)
+		stats, err := runSchedule(programs, sched, finals)
 		rep.Commits += stats.Commits
 		rep.Aborts += stats.TotalAborts()
 		if err != nil {
@@ -227,10 +223,9 @@ func (g *gate) timedWait() {
 
 // runSchedule drives the live runtime through one interleaving and checks
 // the recorded history plus the final memory state.
-func runSchedule(programs []TinyProgram, sched history.Schedule, finals []map[string]int, opts []core.Option) (core.Stats, error) {
+func runSchedule(programs []TinyProgram, sched history.Schedule, finals []map[string]int) (core.Stats, error) {
 	col := history.NewCollector()
-	tmOpts := append([]core.Option{core.WithRecorder(col), core.WithSpinBudget(4)}, opts...)
-	tm := core.New(tmOpts...)
+	tm := core.New(core.WithRecorder(col), core.WithSpinBudget(4))
 	cells := make(map[string]*core.Cell)
 	for _, a := range sched {
 		if cells[a.Loc] == nil {

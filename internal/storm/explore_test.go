@@ -76,6 +76,33 @@ func TestExploreGateForcesConflicts(t *testing.T) {
 	}
 }
 
+// TestExploreTinyAcrossClockSchemes drives a crossed write-skew case (each
+// program reads one location and writes the other) through every
+// interleaving. It is the shape that breaks if a commit ever skipped read
+// validation without the wv == rv+1 proof that no commit intervened.
+func TestExploreTinyAcrossClockSchemes(t *testing.T) {
+	progs := []TinyProgram{
+		{Sem: core.Classic, Accesses: []history.Access{
+			{Kind: history.OpRead, Loc: "x"}, {Kind: history.OpWrite, Loc: "y"},
+		}},
+		{Sem: core.Classic, Accesses: []history.Access{
+			{Kind: history.OpRead, Loc: "y"}, {Kind: history.OpWrite, Loc: "x"},
+		}},
+	}
+	t.Run(clockName, func(t *testing.T) {
+		rep, err := ExploreTiny("crossed-write-skew", progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rerr := rep.Err(); rerr != nil {
+			t.Fatalf("exhaustive exploration failed: %v", rerr)
+		}
+		if rep.Schedules == 0 || rep.Commits == 0 {
+			t.Fatalf("degenerate exploration %+v", rep)
+		}
+	})
+}
+
 // TestExploreMixedSemantics re-runs the cases with read-only programs
 // under snapshot and elastic labels: the polymorphic runtime must keep
 // every guarantee in every interleaving, whatever the mix.

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/persistmap"
@@ -28,20 +27,17 @@ import (
 //   - the final crash image replays into a fresh TM as an exact
 //     per-worker acked prefix — post-detach writes stay memory-only.
 //
-// Runs under every clock scheme so the redo path is exercised against
-// each runtime configuration (this is a -race staple: workers, the WAL
-// daemon, the checkpointer and the injector all race here).
+// This is a -race staple: workers, the WAL daemon, the checkpointer and
+// the injector all race here.
 func TestFaultScheduleStorm(t *testing.T) {
-	for _, sch := range clock.Schemes() {
-		for seed := uint64(1); seed <= 2; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", sch, seed), func(t *testing.T) {
-				runFaultSchedule(t, seed, core.WithClockScheme(sch))
-			})
-		}
+	for seed := uint64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("%s/seed%d", clockName, seed), func(t *testing.T) {
+			runFaultSchedule(t, seed)
+		})
 	}
 }
 
-func runFaultSchedule(t *testing.T, seed uint64, opts ...core.Option) {
+func runFaultSchedule(t *testing.T, seed uint64) {
 	const (
 		dir         = "chain"
 		warmKeys    = 6
@@ -54,7 +50,7 @@ func runFaultSchedule(t *testing.T, seed uint64, opts ...core.Option) {
 	)
 
 	ffs := faultfs.New(nil)
-	tm := core.New(opts...)
+	tm := core.New()
 	m := persistmap.New[int](tm)
 	s, err := persistmap.NewStoreWith(dir, persistmap.IntCodec{}, persistmap.StoreOptions{FS: ffs})
 	if err != nil {

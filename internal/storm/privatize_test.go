@@ -12,43 +12,38 @@ import (
 // TestPrivatizeStormAcrossClockSchemes is the privatization gate: the
 // privatize storm — fenced map mutations interleaved with quiescence
 // detach cycles whose plain frozen reads are checked against the model
-// EXACTLY at the detach epoch — must hold under both the default clock
-// and the striped one (whose stale NowRecent stripes are the adversarial
-// case for epoch fencing). Run with -race: the frozen reads are plain
-// loads racing the committers unless the barrier really drained them.
+// EXACTLY at the detach epoch — must hold. Run with -race: the frozen
+// reads are plain loads racing the committers unless the barrier really
+// drained them.
 func TestPrivatizeStormAcrossClockSchemes(t *testing.T) {
-	for _, s := range []core.ClockScheme{core.ClockGV1, core.ClockGVSharded} {
-		for _, seed := range []uint64{5, 11} {
-			s, seed := s, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", s, seed), func(t *testing.T) {
-				rep, err := Run(Config{
-					Workload: "privatize",
-					Workers:  6,
-					Ops:      150,
-					Keys:     24,
-					Seed:     seed,
-					Chaos:    10,
-					Clock:    s,
-				})
-				if err != nil {
-					t.Fatalf("config: %v", err)
-				}
-				if rerr := rep.Err(); rerr != nil {
-					t.Fatalf("scheme %s: %v", s, rerr)
-				}
-				// A run that never detached proves nothing: the notes
-				// must show cycles and frozen reads.
-				cycled := false
-				for _, n := range rep.Notes {
-					if strings.Contains(n, "detach cycles") && !strings.Contains(n, "0 detach cycles") {
-						cycled = true
-					}
-				}
-				if !cycled {
-					t.Fatalf("scheme %s: no non-vacuous detach cycles in notes %q", s, rep.Notes)
-				}
+	for _, seed := range []uint64{5, 11} {
+		t.Run(fmt.Sprintf("%s/seed=%d", clockName, seed), func(t *testing.T) {
+			rep, err := Run(Config{
+				Workload: "privatize",
+				Workers:  6,
+				Ops:      150,
+				Keys:     24,
+				Seed:     seed,
+				Chaos:    10,
 			})
-		}
+			if err != nil {
+				t.Fatalf("config: %v", err)
+			}
+			if rerr := rep.Err(); rerr != nil {
+				t.Fatal(rerr)
+			}
+			// A run that never detached proves nothing: the notes
+			// must show cycles and frozen reads.
+			cycled := false
+			for _, n := range rep.Notes {
+				if strings.Contains(n, "detach cycles") && !strings.Contains(n, "0 detach cycles") {
+					cycled = true
+				}
+			}
+			if !cycled {
+				t.Fatalf("no non-vacuous detach cycles in notes %q", rep.Notes)
+			}
+		})
 	}
 }
 

@@ -40,10 +40,8 @@ type shardBankWorkload struct {
 }
 
 func newShardBankWorkload(tm *core.TM, keys int) *shardBankWorkload {
-	// The harness TM carries the run's clock scheme; the partition's
-	// shards each get their own clock of the same scheme, plus their own
+	// The partition's shards each get their own clock and their own
 	// recorder — per-shard histories are checked against per-shard clocks.
-	scheme := tm.ClockScheme()
 	w := &shardBankWorkload{
 		cols:     make([]*history.RingCollector, shardBankShards),
 		accounts: make([]*core.TypedCell[int], keys),
@@ -52,7 +50,7 @@ func newShardBankWorkload(tm *core.TM, keys int) *shardBankWorkload {
 	}
 	w.p = shard.NewWith(shardBankShards, func(i int) []core.Option {
 		w.cols[i] = history.NewRingCollector(history.NewShardedCollector())
-		return []core.Option{core.WithRecorder(w.cols[i]), core.WithClockScheme(scheme)}
+		return []core.Option{core.WithRecorder(w.cols[i])}
 	})
 	w.p.EnableAudit()
 	for i := range w.accounts {

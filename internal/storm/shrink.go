@@ -91,8 +91,7 @@ func replayRun(cfg Config, setup []OpRecord, workers [][]OpRecord) (*Report, err
 	if cfg.WrapRecorder != nil {
 		rec = cfg.WrapRecorder(col)
 	}
-	tm := core.New(core.WithRecorder(rec), core.WithElasticWindow(cfg.Window),
-		core.WithClockScheme(cfg.Clock))
+	tm := core.New(core.WithRecorder(rec), core.WithElasticWindow(cfg.Window))
 	w, err := newWorkload(cfg.Workload, tm, cfg.Keys, cfg.Window)
 	if err != nil {
 		return nil, err
@@ -362,15 +361,15 @@ func Shrink(cfg Config, attempts int) (*ShrinkResult, error) {
 
 	// When the minimal schedule fits the exhaustive explorer's limits,
 	// feed it straight in: the shrinker isolated the conflict shape, the
-	// explorer then enumerates EVERY interleaving of it (under the same
-	// clock scheme). An inexplorable case is reported, not fatal.
+	// explorer then enumerates EVERY interleaving of it. An inexplorable
+	// case is reported, not fatal.
 	progs := tinyProgramsFrom(minimal)
 	total := 0
 	for _, p := range progs {
 		total += len(p.Accesses)
 	}
 	if n := len(progs); n > 0 && n <= maxTinyPrograms && total <= maxTinyAccesses {
-		res.Explore, res.ExploreErr = ExploreTiny(res.Tiny.Name, progs, core.WithClockScheme(cfg.Clock))
+		res.Explore, res.ExploreErr = ExploreTiny(res.Tiny.Name, progs)
 	}
 	return res, nil
 }

@@ -1,17 +1,12 @@
 package storm
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // Soak runs the benches' shared pre-sweep correctness storm: quick seeded
 // mixed-semantics runs over the linked list (the structure family the
 // Collection benchmark measures, now on typed node cells) AND the typed
 // raw-cell workload (value-level checked, including updater reads), with
-// full history verification, under the clock scheme about to be
-// benchmarked. It returns an error when a storm cannot run or when any
+// full history verification. It returns an error when a storm cannot run or when any
 // transaction violated its guarantee — the ROADMAP's "every perf run
 // doubles as a correctness run".
 //
@@ -19,7 +14,7 @@ import (
 // configuration. All reports are returned, in workload order, so callers
 // can account for the full coverage rather than just the last storm; on a
 // violation the offending report is returned with the error.
-func Soak(scheme core.ClockScheme) ([]*Report, error) {
+func Soak() ([]*Report, error) {
 	var reps []*Report
 	for _, workload := range []string{"linkedlist", "typedcells"} {
 		rep, err := Run(Config{
@@ -29,7 +24,6 @@ func Soak(scheme core.ClockScheme) ([]*Report, error) {
 			Keys:     32,
 			Seed:     1,
 			Chaos:    10,
-			Clock:    scheme,
 		})
 		if err != nil {
 			return nil, err

@@ -86,15 +86,14 @@ func (m Mix) pick(rng *rand.Rand, allowed []core.Semantics) core.Semantics {
 // sensible default; Workload is required.
 type Config struct {
 	Workload string
-	Workers  int              // concurrent workers (default 4)
-	Ops      int              // operations per worker (default 200)
-	Duration time.Duration    // when set, run until the deadline instead of Ops
-	Keys     int              // key / cell range (default 32)
-	Seed     uint64           // fixes every worker's operation sequence (default 1)
-	Mix      Mix              // semantics weights (default 60/25/15)
-	Window   int              // elastic window, forwarded to the TM (default 2)
-	Chaos    int              // % of ops preceded by a seeded scheduler perturbation (0 disables; cmd/stormcheck defaults to 10)
-	Clock    core.ClockScheme // commit-versioning scheme under test (default ClockGV1)
+	Workers  int           // concurrent workers (default 4)
+	Ops      int           // operations per worker (default 200)
+	Duration time.Duration // when set, run until the deadline instead of Ops
+	Keys     int           // key / cell range (default 32)
+	Seed     uint64        // fixes every worker's operation sequence (default 1)
+	Mix      Mix           // semantics weights (default 60/25/15)
+	Window   int           // elastic window, forwarded to the TM (default 2)
+	Chaos    int           // % of ops preceded by a seeded scheduler perturbation (0 disables; cmd/stormcheck defaults to 10)
 
 	// WrapRecorder, when set, wraps the history collector before it is
 	// attached to the TM — the fault-injection hook used to prove the
@@ -214,8 +213,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.WrapRecorder != nil {
 		rec = cfg.WrapRecorder(col)
 	}
-	tm := core.New(core.WithRecorder(rec), core.WithElasticWindow(cfg.Window),
-		core.WithClockScheme(cfg.Clock))
+	tm := core.New(core.WithRecorder(rec), core.WithElasticWindow(cfg.Window))
 	w, err := newWorkload(cfg.Workload, tm, cfg.Keys, cfg.Window)
 	if err != nil {
 		return nil, err

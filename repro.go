@@ -120,24 +120,6 @@ var (
 	WithBackoff = core.WithBackoff
 	// WithSpinBudget sets pre-arbitration spinning.
 	WithSpinBudget = core.WithSpinBudget
-	// WithClockScheme selects the global-clock commit-versioning scheme
-	// (ClockGV1, ClockGVPass, ClockGVSharded).
-	WithClockScheme = core.WithClockScheme
-)
-
-// ClockScheme selects the commit-versioning algorithm of the TM's global
-// clock: how update commits draw write versions from the shared clock.
-type ClockScheme = core.ClockScheme
-
-// Clock schemes, in increasing order of commit-path concurrency.
-const (
-	// ClockGV1 is the single fetch-and-add clock word (the default).
-	ClockGV1 = core.ClockGV1
-	// ClockGVPass is TL2's GV4: a failed commit CAS adopts the winner's
-	// value instead of retrying, at the price of always validating reads.
-	ClockGVPass = core.ClockGVPass
-	// ClockGVSharded stripes the clock across cache-line-padded words.
-	ClockGVSharded = core.ClockGVSharded
 )
 
 // New builds a transactional memory runtime.
